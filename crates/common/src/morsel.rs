@@ -28,6 +28,7 @@
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Default number of rows per morsel.
 ///
@@ -55,11 +56,16 @@ pub fn morsel_range(index: usize, rows: usize, morsel_rows: usize) -> Range<usiz
 /// Worker count for a parallel stage: `available_parallelism` capped at
 /// `cap` (the same pattern as the bounded executor's parallel fetch).
 /// Returns 1 — i.e. "stay serial" — when the host reports a single core.
+///
+/// The host core count is read once per process and cached: on Linux
+/// `available_parallelism` reads cgroup files (tens of microseconds), which
+/// would otherwise dominate a bounded fetch step that costs a handful of
+/// index lookups.  This is the only place the workspace asks the OS for the
+/// core count (beas-lint rule L010).
 pub fn default_workers(cap: usize) -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(cap.max(1))
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    cores.min(cap.max(1))
 }
 
 /// A work queue over the morsels `0..morsels`, handing indices out in

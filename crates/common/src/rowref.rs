@@ -154,6 +154,20 @@ impl<'a> RowRef<'a> {
         }
     }
 
+    /// This row followed by a shared and a borrowed segment, with the
+    /// segment list allocated once at its final size — the bounded fetch
+    /// join's output row (context row, key values, fetched partial tuple).
+    pub fn extended(&self, shared: Arc<Row>, values: &'a [Value]) -> RowRef<'a> {
+        let mut out = RowRef {
+            head: self.head.clone(),
+            tail: Vec::with_capacity(self.tail.len() + 2),
+        };
+        out.tail.extend(self.tail.iter().cloned());
+        out.push_shared(shared);
+        out.push_slice(values);
+        out
+    }
+
     /// Concatenate two rows by appending segments — the join primitive.
     pub fn concat(&self, other: &RowRef<'a>) -> RowRef<'a> {
         let mut out = RowRef::empty();

@@ -11,31 +11,23 @@
 //! been found, instead of scanning and buffering the whole table.
 //!
 //! The trait is deliberately tiny (`next()` only).  This module also
-//! carries the generic adapters: `FilterStream` and `DedupeStream` back
-//! the bounded executor's fetch pipeline, while `VecStream` / `MapStream`
-//! / `TakeStream` round out the combinator set for library consumers (the
-//! engine's operators implement `RowStream` directly because each carries
-//! its own metrics counters):
+//! carries generic adapters for library consumers (the engine's operators
+//! implement `RowStream` directly because each carries its own metrics
+//! counters, and the bounded executor's fetch join is a plain loop over
+//! key ids):
 //!
 //! * [`VecStream`] — a stream over already-materialized rows (the boundary
 //!   between a blocking operator, e.g. sort or aggregation, and the pipeline
 //!   downstream of it);
-//! * [`FilterStream`] — retain rows satisfying a fallible predicate,
-//!   propagating evaluation errors (SQL type errors must surface, not drop
-//!   rows);
 //! * [`MapStream`] — transform each row through a fallible function
 //!   (projection);
-//! * [`DedupeStream`] — incremental duplicate elimination preserving
-//!   first-occurrence order (set semantics, hashing the `RowRef`s
-//!   themselves, so nothing is cloned);
 //! * [`TakeStream`] — yield at most `k` rows, then stop pulling.
 //!
-//! Engine-specific operators (scans with metrics, joins, top-k sorts, the
-//! bounded `fetch`) implement [`RowStream`] directly in their own crates.
+//! Engine-specific operators (scans with metrics, joins, top-k sorts)
+//! implement [`RowStream`] directly in their own crates.
 
 use crate::error::Result;
 use crate::rowref::RowRef;
-use std::collections::HashSet;
 
 /// A lazy, fallible stream of [`RowRef`]s — the pipelined operator
 /// interface.
@@ -87,47 +79,6 @@ impl<'a> RowStream<'a> for VecStream<'a> {
     }
 }
 
-/// Retain the rows for which `pred` returns `Ok(true)`; errors propagate.
-pub struct FilterStream<'a, S, F>
-where
-    S: RowStream<'a>,
-    F: FnMut(&RowRef<'a>) -> Result<bool>,
-{
-    input: S,
-    pred: F,
-    _marker: std::marker::PhantomData<&'a ()>,
-}
-
-impl<'a, S, F> FilterStream<'a, S, F>
-where
-    S: RowStream<'a>,
-    F: FnMut(&RowRef<'a>) -> Result<bool>,
-{
-    /// Filter `input` through `pred`.
-    pub fn new(input: S, pred: F) -> Self {
-        FilterStream {
-            input,
-            pred,
-            _marker: std::marker::PhantomData,
-        }
-    }
-}
-
-impl<'a, S, F> RowStream<'a> for FilterStream<'a, S, F>
-where
-    S: RowStream<'a>,
-    F: FnMut(&RowRef<'a>) -> Result<bool>,
-{
-    fn next(&mut self) -> Result<Option<RowRef<'a>>> {
-        while let Some(row) = self.input.next()? {
-            if (self.pred)(&row)? {
-                return Ok(Some(row));
-            }
-        }
-        Ok(None)
-    }
-}
-
 /// Transform every row through a fallible function.
 pub struct MapStream<'a, S, F>
 where
@@ -164,37 +115,6 @@ where
             Some(row) => Ok(Some((self.f)(row)?)),
             None => Ok(None),
         }
-    }
-}
-
-/// Incremental duplicate elimination preserving first-occurrence order.
-///
-/// Hashing the [`RowRef`]s keeps duplicate elimination clone-free: a
-/// retained row's segment list moves into the `seen` set and a cheap clone
-/// (pointer copies) is emitted downstream.
-pub struct DedupeStream<'a, S: RowStream<'a>> {
-    input: S,
-    seen: HashSet<RowRef<'a>>,
-}
-
-impl<'a, S: RowStream<'a>> DedupeStream<'a, S> {
-    /// Deduplicate `input`.
-    pub fn new(input: S) -> Self {
-        DedupeStream {
-            input,
-            seen: HashSet::new(),
-        }
-    }
-}
-
-impl<'a, S: RowStream<'a>> RowStream<'a> for DedupeStream<'a, S> {
-    fn next(&mut self) -> Result<Option<RowRef<'a>>> {
-        while let Some(row) = self.input.next()? {
-            if self.seen.insert(row.clone()) {
-                return Ok(Some(row));
-            }
-        }
-        Ok(None)
     }
 }
 
@@ -237,7 +157,6 @@ impl<'a, S: RowStream<'a>> RowStream<'a> for TakeStream<'a, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::BeasError;
     use crate::value::Value;
 
     fn row(x: i64) -> RowRef<'static> {
@@ -262,19 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn filter_stream_keeps_matches_and_propagates_errors() {
-        let s = VecStream::new(vec![row(1), row(2), row(3), row(4)]);
-        let mut f = FilterStream::new(s, |r| {
-            Ok(matches!(r.get(0), Some(Value::Int(i)) if i % 2 == 0))
-        });
-        assert_eq!(ints(&f.collect_rows().unwrap()), vec![2, 4]);
-
-        let s = VecStream::new(vec![row(1)]);
-        let mut f = FilterStream::new(s, |_| -> Result<bool> { Err(BeasError::execution("boom")) });
-        assert!(f.next().is_err());
-    }
-
-    #[test]
     fn map_stream_transforms_rows() {
         let s = VecStream::new(vec![row(1), row(2)]);
         let mut m = MapStream::new(s, |r| {
@@ -285,13 +191,6 @@ mod tests {
             Ok(RowRef::owned(vec![Value::Int(v)]))
         });
         assert_eq!(ints(&m.collect_rows().unwrap()), vec![10, 20]);
-    }
-
-    #[test]
-    fn dedupe_stream_is_incremental_and_order_preserving() {
-        let s = VecStream::new(vec![row(1), row(2), row(1), row(3), row(2)]);
-        let mut d = DedupeStream::new(s);
-        assert_eq!(ints(&d.collect_rows().unwrap()), vec![1, 2, 3]);
     }
 
     #[test]

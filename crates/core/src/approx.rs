@@ -195,7 +195,7 @@ pub fn execute_with_budget(
             }
         }
         for pred in &fetch.post_filters {
-            let rewritten = crate::executor::rewrite_to_ctx(pred, query, graph, &new_schema)?;
+            let rewritten = crate::plan::rewrite_to_ctx(pred, query, graph, &new_schema)?;
             new_rows = retain_matching(new_rows, &rewritten)?;
         }
         new_rows = beas_common::dedupe(new_rows);
@@ -212,7 +212,7 @@ pub fn execute_with_budget(
     // Finalization (same semantics as the exact bounded executor, including
     // predicate-error propagation).
     for pred in &plan.residual_predicates {
-        let rewritten = crate::executor::rewrite_to_ctx(pred, query, graph, &schema)?;
+        let rewritten = crate::plan::rewrite_to_ctx(pred, query, graph, &schema)?;
         rows = retain_matching(rows, &rewritten)?;
     }
     let mut out: Vec<Row>;
@@ -220,12 +220,12 @@ pub fn execute_with_budget(
         let group_by: Vec<BoundExpr> = query
             .group_by
             .iter()
-            .map(|g| crate::executor::rewrite_to_ctx(g, query, graph, &schema))
+            .map(|g| crate::plan::rewrite_to_ctx(g, query, graph, &schema))
             .collect::<Result<_>>()?;
         let mut aggs = query.aggregates.clone();
         for a in &mut aggs {
             if let Some(arg) = &a.arg {
-                a.arg = Some(crate::executor::rewrite_to_ctx(arg, query, graph, &schema)?);
+                a.arg = Some(crate::plan::rewrite_to_ctx(arg, query, graph, &schema)?);
             }
         }
         let mut agg_rows = aggregate(&rows, &group_by, &aggs)?;
@@ -244,7 +244,7 @@ pub fn execute_with_budget(
         let outputs: Vec<BoundExpr> = query
             .output
             .iter()
-            .map(|(e, _)| crate::executor::rewrite_to_ctx(e, query, graph, &schema))
+            .map(|(e, _)| crate::plan::rewrite_to_ctx(e, query, graph, &schema))
             .collect::<Result<_>>()?;
         out = Vec::new();
         let mut seen = HashSet::new();

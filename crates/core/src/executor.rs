@@ -12,18 +12,30 @@
 //! Answers are produced under set semantics (distinct rows): constraint
 //! indices store distinct partial tuples, which is also why the checker only
 //! admits distinct-safe aggregates.
+//!
+//! The executor runs a `FetchProgram` (`crate::plan`): the plan compiled
+//! once against its query (key types and positions, cast constants, step
+//! schemas, rewritten predicates and finalization expressions).
+//! [`crate::BeasSystem`] caches the program with the prepared query, so a
+//! plan-cache hit pays only for index lookups, the fetch join and the
+//! answer-level finalization; the plan-taking entry points
+//! ([`execute_bounded_with`], [`execute_ctx_with`]) compile and then run.
 
 use crate::graph::QueryGraph;
-use crate::plan::{BoundedPlan, KeySource, PlannedFetch};
+use crate::plan::{BoundedPlan, CompiledFetch, FetchProgram, FinalShape, KeyPart};
 use beas_access::AccessIndexes;
 use beas_common::{
-    dedupe, BeasError, DedupeStream, Field, FilterStream, QuotaTracker, Result, Row, RowRef,
-    RowStream, Schema, Value,
+    canonical_key_value, dedupe, is_canonical_key_value, joinable, BeasError, QuotaTracker, Result,
+    Row, RowRef, Schema, Value, ValueRow,
 };
 use beas_engine::{aggregate, ExecutionMetrics};
 use beas_obs::clock;
 use beas_sql::{evaluate, evaluate_predicate, BoundExpr, BoundQuery};
-use std::collections::{HashMap, HashSet};
+use beas_storage::ConstraintIndex;
+use std::borrow::Cow;
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 /// Minimum number of distinct fetch keys before the key set is partitioned
@@ -38,9 +50,10 @@ pub const PARALLEL_FETCH_MAX_WORKERS: usize = 8;
 
 /// Tuning knobs of the bounded fetch stage.
 ///
-/// The defaults match the hard-coded production values; deployments with
-/// different key-set shapes (a service serving many small sessions, or one
-/// analytic session with huge IN-lists) tune them through
+/// The defaults are [`PARALLEL_FETCH_MIN_KEYS`] and
+/// [`PARALLEL_FETCH_MAX_WORKERS`]; deployments with different key-set
+/// shapes (a service serving many small sessions, or one analytic session
+/// with huge IN-lists) tune them through
 /// [`crate::BeasSystem::with_parallel_fetch_min_keys`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FetchConfig {
@@ -105,6 +118,8 @@ pub fn execute_ctx<'a>(
 /// step accessed — fetch steps are the only place bounded plans touch base
 /// data — so an in-flight bounded query whose actual access exceeds its
 /// budget stops at the next step boundary with a structured quota error.
+///
+/// Compiles the plan's fetch steps and runs them.
 pub fn execute_ctx_with<'a>(
     plan: &BoundedPlan,
     query: &BoundQuery,
@@ -113,37 +128,10 @@ pub fn execute_ctx_with<'a>(
     fetch_config: FetchConfig,
     quota: Option<&QuotaTracker>,
 ) -> Result<CtxResult<'a>> {
-    let mut metrics = ExecutionMetrics::new();
-    let mut tuples_accessed: u64 = 0;
-    let mut schema = Schema::empty();
-    let mut rows: Vec<RowRef<'a>> = vec![RowRef::empty()];
-    let start_all = clock::now();
-
-    for fetch in &plan.fetches {
-        let start = clock::now();
-        if let Some(q) = quota {
-            q.checkpoint()?;
-        }
-        let (new_schema, new_rows, accessed) =
-            run_fetch(fetch, query, graph, indexes, &schema, &rows, fetch_config)?;
-        tuples_accessed += accessed;
-        if let Some(q) = quota {
-            q.charge_tuples(accessed)?;
-        }
-
-        metrics.record(
-            format!("Fetch({})", fetch.constraint.id()),
-            new_rows.len() as u64,
-            accessed,
-            start.elapsed(),
-        );
-        schema = new_schema;
-        rows = new_rows;
-    }
-
-    metrics.elapsed = start_all.elapsed();
+    let program = FetchProgram::compile_fetches(plan, query, graph)?;
+    let (rows, metrics, tuples_accessed) = run_fetches(&program, indexes, fetch_config, quota)?;
     Ok(CtxResult {
-        schema,
+        schema: program.schema,
         rows,
         metrics,
         tuples_accessed,
@@ -161,7 +149,9 @@ pub fn execute_bounded(
 }
 
 /// [`execute_bounded`] with explicit fetch tuning and an optional session
-/// quota (see [`execute_ctx_with`] for the charging discipline).
+/// quota (see [`execute_ctx_with`] for the charging discipline).  Compiles
+/// the plan and runs it; a cached prepared query runs its compiled program
+/// instead ([`crate::BeasSystem::execute_prepared`]).
 pub fn execute_bounded_with(
     plan: &BoundedPlan,
     query: &BoundQuery,
@@ -171,72 +161,63 @@ pub fn execute_bounded_with(
     quota: Option<&QuotaTracker>,
 ) -> Result<BoundedExecution> {
     let start = clock::now();
-    let ctx = execute_ctx_with(plan, query, graph, indexes, fetch_config, quota)?;
-    let mut metrics = ctx.metrics.clone();
-    let mut rows = ctx.rows;
-    let schema = ctx.schema;
+    let program = FetchProgram::compile(plan, query, graph)?;
+    let mut execution = execute_program(&program, indexes, fetch_config, quota)?;
+    execution.metrics.elapsed = start.elapsed();
+    Ok(execution)
+}
+
+/// Run a compiled program end to end: its fetch steps, the residual
+/// predicates, and the answer-level finalization.  Fails for a program
+/// compiled with `FetchProgram::compile_fetches`, which has no answer
+/// stage.
+pub(crate) fn execute_program(
+    program: &FetchProgram,
+    indexes: &AccessIndexes,
+    fetch_config: FetchConfig,
+    quota: Option<&QuotaTracker>,
+) -> Result<BoundedExecution> {
+    let start = clock::now();
+    let finalize = program
+        .finalize
+        .as_ref()
+        .ok_or_else(|| BeasError::execution("the program was compiled without an answer stage"))?;
+    let (mut rows, mut metrics, tuples_accessed) =
+        run_fetches(program, indexes, fetch_config, quota)?;
 
     // Residual predicates spanning several atoms; errors propagate like the
     // baseline's Filter operator.
-    if !plan.residual_predicates.is_empty() {
+    if !finalize.residual.is_empty() {
         let t = clock::now();
-        for pred in &plan.residual_predicates {
-            let rewritten = rewrite_to_ctx(pred, query, graph, &schema)?;
-            rows = retain_matching(rows, &rewritten)?;
+        for pred in &finalize.residual {
+            rows = retain_matching(rows, pred)?;
         }
         metrics.record("ResidualFilter", rows.len() as u64, 0, t.elapsed());
     }
 
     // Finalization: aggregation / projection / distinct / order / limit,
     // mirroring the baseline engine's semantics over the bounded context.
+    // This dedupe of the projected answer is the only one on the bounded
+    // path (context rows are distinct by construction, see `run_step`).
     let t = clock::now();
-    let mut out: Vec<Row>;
-    if query.is_aggregate {
-        let group_by: Vec<BoundExpr> = query
-            .group_by
-            .iter()
-            .map(|g| rewrite_to_ctx(g, query, graph, &schema))
-            .collect::<Result<_>>()?;
-        let mut aggregates = query.aggregates.clone();
-        for agg in &mut aggregates {
-            if let Some(arg) = &agg.arg {
-                agg.arg = Some(rewrite_to_ctx(arg, query, graph, &schema)?);
+    let mut out: Vec<Row> = match &finalize.shape {
+        FinalShape::Aggregate {
+            group_by,
+            aggregates,
+            having,
+            outputs,
+        } => {
+            let mut agg_rows = aggregate(&rows, group_by, aggregates)?;
+            if let Some(h) = having {
+                agg_rows = retain_matching(agg_rows, h)?;
             }
+            project(&agg_rows, outputs)?
         }
-        let mut agg_rows = aggregate(&rows, &group_by, &aggregates)?;
-        if let Some(h) = &query.having {
-            agg_rows = retain_matching(agg_rows, h)?;
-        }
-        out = Vec::with_capacity(agg_rows.len());
-        for r in &agg_rows {
-            let mut projected = Vec::with_capacity(query.output.len());
-            for (e, _) in &query.output {
-                projected.push(evaluate(e, r)?);
-            }
-            out.push(projected);
-        }
-    } else {
-        let outputs: Vec<BoundExpr> = query
-            .output
-            .iter()
-            .map(|(e, _)| rewrite_to_ctx(e, query, graph, &schema))
-            .collect::<Result<_>>()?;
-        out = Vec::with_capacity(rows.len());
-        for r in &rows {
-            let mut projected = Vec::with_capacity(outputs.len());
-            for e in &outputs {
-                projected.push(evaluate(e, r)?);
-            }
-            out.push(projected);
-        }
-        // set semantics on the projected answer
-        out = dedupe(out);
-    }
-
-    // ORDER BY / LIMIT.
-    if !query.order_by.is_empty() {
+        FinalShape::Project { outputs } => dedupe(project(&rows, outputs)?),
+    };
+    if !finalize.order_by.is_empty() {
         out.sort_by(|a, b| {
-            for (idx, asc) in &query.order_by {
+            for (idx, asc) in &finalize.order_by {
                 let ord = a[*idx].total_cmp(&b[*idx]);
                 let ord = if *asc { ord } else { ord.reverse() };
                 if ord != std::cmp::Ordering::Equal {
@@ -246,7 +227,7 @@ pub fn execute_bounded_with(
             std::cmp::Ordering::Equal
         });
     }
-    if let Some(limit) = query.limit {
+    if let Some(limit) = finalize.limit {
         out.truncate(limit as usize);
     }
     metrics.record("Finalize", out.len() as u64, 0, t.elapsed());
@@ -255,8 +236,15 @@ pub fn execute_bounded_with(
     Ok(BoundedExecution {
         rows: out,
         metrics,
-        tuples_accessed: ctx.tuples_accessed,
+        tuples_accessed,
     })
+}
+
+/// Evaluate `outputs` over every row.
+fn project<R: ValueRow>(rows: &[R], outputs: &[BoundExpr]) -> Result<Vec<Row>> {
+    rows.iter()
+        .map(|r| outputs.iter().map(|e| evaluate(e, r)).collect())
+        .collect()
 }
 
 /// Keep the rows satisfying `pred`, propagating evaluation errors — the
@@ -275,375 +263,317 @@ pub(crate) fn retain_matching<R: beas_common::ValueRow>(
     Ok(kept)
 }
 
-/// Distinct fetch key → (shared X-prefix segment, borrowed index bucket).
-type FetchBuckets<'a> = HashMap<Vec<Value>, (Arc<Row>, &'a [Row])>;
+/// Run every fetch step of `program`: the context rows, the per-step
+/// metrics, and the partial tuples accessed.
+fn run_fetches<'a>(
+    program: &FetchProgram,
+    indexes: &'a AccessIndexes,
+    fetch_config: FetchConfig,
+    quota: Option<&QuotaTracker>,
+) -> Result<(Vec<RowRef<'a>>, ExecutionMetrics, u64)> {
+    let start_all = clock::now();
+    let mut metrics = ExecutionMetrics::new();
+    let mut tuples_accessed: u64 = 0;
+    let mut rows: Vec<RowRef<'a>> = vec![RowRef::empty()];
+    for step in &program.steps {
+        let start = clock::now();
+        if let Some(q) = quota {
+            q.checkpoint()?;
+        }
+        let index = indexes.get(&step.constraint_id).ok_or_else(|| {
+            BeasError::execution(format!(
+                "no index built for access constraint {}",
+                step.constraint
+            ))
+        })?;
+        let (new_rows, accessed) = run_step(step, index, &rows, fetch_config)?;
+        tuples_accessed += accessed;
+        if let Some(q) = quota {
+            q.charge_tuples(accessed)?;
+        }
+        metrics.record(
+            step.label.as_str(),
+            new_rows.len() as u64,
+            accessed,
+            start.elapsed(),
+        );
+        rows = new_rows;
+    }
+    metrics.elapsed = start_all.elapsed();
+    Ok((rows, metrics, tuples_accessed))
+}
 
-/// Fetch the buckets of `keys`, partitioning the key set across scoped
-/// worker threads when it is large enough to pay for them.
+/// The distinct keys of one fetch step, numbered in first-seen order, and
+/// each context row's key ids.
+///
+/// Row `r`'s ids are `ids[ends[r - 1]..ends[r]]` (from 0 for the first
+/// row).  A candidate key is hashed and compared in place — context values
+/// are borrowed, not cloned — and only a key not seen before is copied into
+/// a shared block, which later becomes the X-prefix segment of every row it
+/// joins.
+#[derive(Debug, Default)]
+struct StepKeys {
+    keys: Vec<Arc<Row>>,
+    ids: Vec<usize>,
+    ends: Vec<usize>,
+}
+
+/// End of a [`StepKeys`] hash chain.
+const NO_KEY: usize = usize::MAX;
+
+/// Hasher for keys that already are hashes: the key-id table is keyed by
+/// the candidate key's (randomly seeded) hash, so hashing it again would
+/// only cost time.
+#[derive(Default)]
+struct PreHashed(u64);
+
+impl Hasher for PreHashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+}
+
+impl StepKeys {
+    /// Collect the keys of `rows` for `parts`.
+    ///
+    /// Keys are canonicalized through the shared key module
+    /// (`beas_common::key`) so the lookup agrees with the index and with the
+    /// baseline joins on numeric/date coercion.  NULL (and NaN) key values
+    /// are *dropped*: a fetch key stands for an equi-join (or equality
+    /// predicate) on the constraint's X attributes, and SQL equality never
+    /// matches NULL — whereas the index groups NULLs with DISTINCT
+    /// semantics, so looking NULL up would resurrect exactly the rows the
+    /// baseline joins exclude.  A key position with no option leaves the
+    /// row keyless: it joins nothing, exactly like a NULL join key in the
+    /// baseline.
+    fn collect(parts: &[KeyPart], rows: &[RowRef<'_>]) -> Result<Self> {
+        let mut out = StepKeys {
+            ids: Vec::with_capacity(rows.len()),
+            ends: Vec::with_capacity(rows.len()),
+            ..StepKeys::default()
+        };
+        // hash of a key -> its latest id; `chain[id]` is the previous id
+        // with the same hash
+        let mut heads: HashMap<u64, usize, BuildHasherDefault<PreHashed>> = HashMap::default();
+        let mut chain: Vec<usize> = Vec::new();
+        let seed = RandomState::new();
+        // per row: each context part's canonical value, then an odometer
+        // over the parts' options
+        let mut slots: Vec<Cow<'_, Value>> = vec![Cow::Owned(Value::Null); parts.len()];
+        let mut digits: Vec<usize> = vec![0; parts.len()];
+        for row in rows {
+            let mut keyless = false;
+            for (part, slot) in parts.iter().zip(&mut slots) {
+                match part {
+                    KeyPart::Options(options) => keyless |= options.is_empty(),
+                    KeyPart::Invalid(e) => return Err(e.clone()),
+                    KeyPart::Ctx { pos, ty } => {
+                        let v = row
+                            .get(*pos)
+                            .ok_or_else(|| BeasError::execution("context key out of bounds"))?;
+                        if !joinable(v) {
+                            keyless = true;
+                        } else if v.data_type() == Some(*ty) && is_canonical_key_value(v) {
+                            *slot = Cow::Borrowed(v);
+                        } else {
+                            *slot = Cow::Owned(canonical_key_value(&v.cast(*ty)?));
+                        }
+                    }
+                }
+            }
+            if !keyless {
+                let value = |p: usize, digit: usize| match &parts[p] {
+                    KeyPart::Options(options) => &options[digit],
+                    _ => slots[p].as_ref(),
+                };
+                let options = |p: usize| match &parts[p] {
+                    KeyPart::Options(options) => options.len(),
+                    _ => 1,
+                };
+                digits.fill(0);
+                'keys: loop {
+                    let mut hasher = seed.build_hasher();
+                    for (p, &d) in digits.iter().enumerate() {
+                        value(p, d).hash(&mut hasher);
+                    }
+                    let hash = hasher.finish();
+                    let mut id = heads.get(&hash).copied().unwrap_or(NO_KEY);
+                    while id != NO_KEY
+                        && !out.keys[id]
+                            .iter()
+                            .zip(digits.iter().enumerate())
+                            .all(|(k, (p, &d))| k == value(p, d))
+                    {
+                        id = chain[id];
+                    }
+                    if id == NO_KEY {
+                        id = out.keys.len();
+                        let key: Row = digits
+                            .iter()
+                            .enumerate()
+                            .map(|(p, &d)| value(p, d).clone())
+                            .collect();
+                        out.keys.push(Arc::new(key));
+                        chain.push(heads.insert(hash, id).unwrap_or(NO_KEY));
+                    }
+                    out.ids.push(id);
+                    // advance the odometer, last part fastest
+                    let mut p = parts.len();
+                    loop {
+                        if p == 0 {
+                            break 'keys;
+                        }
+                        p -= 1;
+                        digits[p] += 1;
+                        if digits[p] < options(p) {
+                            break;
+                        }
+                        digits[p] = 0;
+                    }
+                }
+            }
+            out.ends.push(out.ids.len());
+        }
+        Ok(out)
+    }
+}
+
+/// Fetch the bucket of every key, positionally aligned with `keys`,
+/// partitioning the key set across scoped worker threads when it is large
+/// enough to pay for them.
 ///
 /// The merge is deterministic: workers own contiguous chunks of the key
 /// list and return buckets positionally aligned with their chunk, so the
-/// assembled map and the total access count are identical to a serial
-/// `fetch_buckets` over the whole list regardless of thread scheduling.
+/// assembled list and the total access count are identical to a serial
+/// fetch over the whole list regardless of thread scheduling.
 fn fetch_buckets_keyed<'a>(
-    index: &'a beas_storage::ConstraintIndex,
-    keys: &[Vec<Value>],
-    x_len: usize,
+    index: &'a ConstraintIndex,
+    keys: &[Arc<Row>],
     config: FetchConfig,
-) -> (FetchBuckets<'a>, u64) {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(config.max_workers.max(1));
-    let fetched: Vec<(Vec<&'a [Row]>, u64)> = if keys.len() < config.parallel_min_keys
-        || workers < 2
-    {
-        vec![index.fetch_buckets(keys.iter().map(|k| k.as_slice()))]
-    } else {
-        let chunk = keys.len().div_ceil(workers);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = keys
-                .chunks(chunk)
-                .map(|part| s.spawn(move || index.fetch_buckets(part.iter().map(|k| k.as_slice()))))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("fetch worker panicked"))
-                .collect()
-        })
-    };
-    let mut buckets: FetchBuckets<'a> = HashMap::with_capacity(keys.len());
+) -> (Vec<&'a [Row]>, u64) {
+    let workers = beas_common::default_workers(config.max_workers);
+    if keys.len() < config.parallel_min_keys || workers < 2 {
+        return index.fetch_buckets(keys.iter().map(|k| k.as_slice()));
+    }
+    let chunk = keys.len().div_ceil(workers);
+    let fetched: Vec<(Vec<&'a [Row]>, u64)> = std::thread::scope(|s| {
+        let handles: Vec<_> = keys
+            .chunks(chunk)
+            .map(|part| s.spawn(move || index.fetch_buckets(part.iter().map(|k| k.as_slice()))))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("fetch worker panicked"))
+            .collect()
+    });
+    let mut buckets = Vec::with_capacity(keys.len());
     let mut accessed = 0u64;
-    let mut key_iter = keys.iter();
     for (chunk_buckets, chunk_accessed) in fetched {
+        buckets.extend(chunk_buckets);
         accessed += chunk_accessed;
-        for bucket in chunk_buckets {
-            let key = key_iter.next().expect("bucket per key");
-            let x_prefix: Arc<Row> = Arc::new(key[..x_len].to_vec());
-            buckets.insert(key.clone(), (x_prefix, bucket));
-        }
     }
     (buckets, accessed)
 }
 
-/// The pipelined fetch join: context rows × their candidate keys × the
-/// key's bucket, yielded lazily.  Every output row is the context row's
-/// segments plus one shared `Arc` segment for the key's X-values plus one
-/// segment borrowing the partial tuple straight out of the index bucket —
-/// neither the bucket nor the context row is cloned value-by-value.
-struct FetchJoinStream<'s, 'a> {
-    rows: &'s [RowRef<'a>],
-    row_keys: &'s [Vec<Vec<Value>>],
-    buckets: &'s FetchBuckets<'a>,
-    /// Cursor: (context row, candidate key of that row, position in bucket).
-    row: usize,
-    key: usize,
-    pos: usize,
+/// A candidate output row of the fetch join, read in place: the context
+/// row, then the key's X-values, then the fetched partial tuple.  Lets the
+/// post-filters run before the row is assembled.
+struct Joined<'r, 'a> {
+    row: &'r RowRef<'a>,
+    row_len: usize,
+    prefix: &'r [Value],
+    tuple: &'r [Value],
 }
 
-impl<'s, 'a> FetchJoinStream<'s, 'a> {
-    fn new(
-        rows: &'s [RowRef<'a>],
-        row_keys: &'s [Vec<Vec<Value>>],
-        buckets: &'s FetchBuckets<'a>,
-    ) -> Self {
-        FetchJoinStream {
-            rows,
-            row_keys,
-            buckets,
-            row: 0,
-            key: 0,
-            pos: 0,
+impl ValueRow for Joined<'_, '_> {
+    fn arity(&self) -> usize {
+        self.row_len + self.prefix.len() + self.tuple.len()
+    }
+
+    fn value_at(&self, i: usize) -> Option<&Value> {
+        if i < self.row_len {
+            return self.row.get(i);
+        }
+        let i = i - self.row_len;
+        match self.prefix.get(i) {
+            Some(v) => Some(v),
+            None => self.tuple.get(i - self.prefix.len()),
         }
     }
 }
 
-impl<'a> RowStream<'a> for FetchJoinStream<'_, 'a> {
-    fn next(&mut self) -> Result<Option<RowRef<'a>>> {
-        while self.row < self.rows.len() {
-            let keys = &self.row_keys[self.row];
-            while self.key < keys.len() {
-                if let Some((x_prefix, bucket)) = self.buckets.get(&keys[self.key]) {
-                    if self.pos < bucket.len() {
-                        let mut out = self.rows[self.row].clone();
-                        out.push_shared(Arc::clone(x_prefix));
-                        out.push_slice(&bucket[self.pos]);
-                        self.pos += 1;
-                        return Ok(Some(out));
-                    }
-                }
-                self.key += 1;
-                self.pos = 0;
-            }
-            self.row += 1;
-            self.key = 0;
-            self.pos = 0;
-        }
-        Ok(None)
-    }
-}
-
-/// Run one fetch step: returns the extended schema, the joined (filtered,
-/// deduplicated) rows and the number of partial tuples accessed.
+/// Run one fetch step: the joined, filtered rows and the number of partial
+/// tuples accessed.
 ///
-/// The join → post-filter → dedupe chain runs as one pull-based pipeline
-/// over [`RowStream`] adapters: each joined row is checked against the
-/// predicates that became checkable after this fetch and deduplicated
-/// incrementally, without materializing the unfiltered join.  Evaluation
-/// errors (e.g. a type error in a predicate) propagate, matching the
-/// baseline engine, instead of silently dropping rows.
-fn run_fetch<'a>(
-    fetch: &PlannedFetch,
-    query: &BoundQuery,
-    graph: &QueryGraph,
-    indexes: &'a AccessIndexes,
-    schema: &Schema,
+/// Each context row is joined with the bucket of each of its keys; every
+/// output row is the context row's segments plus one shared segment for the
+/// key's X-values plus one segment borrowing the partial tuple straight out
+/// of the index bucket.  The post-filters run on the candidate in place, so
+/// only surviving rows are assembled.  Evaluation errors (e.g. a type error
+/// in a predicate) propagate, matching the baseline engine, instead of
+/// silently dropping rows.
+///
+/// No per-step dedupe: the output is distinct by construction.  By
+/// induction the input context rows are distinct (the first step starts
+/// from the single empty row).  A row's keys are distinct (constant options
+/// are deduplicated at compile time and a context part contributes one
+/// value per row), and a bucket holds distinct partial tuples (the index
+/// deduplicates `Y` values under the same `Eq`/`Hash` as rows).  Two
+/// outputs that agree on every position therefore agree on the context
+/// prefix, the key and the tuple — they are the same output.  Filtering
+/// keeps distinctness.  Answers are still deduplicated once, after
+/// projection, in [`execute_program`].
+fn run_step<'a>(
+    step: &CompiledFetch,
+    index: &'a ConstraintIndex,
     rows: &[RowRef<'a>],
-    fetch_config: FetchConfig,
-) -> Result<(Schema, Vec<RowRef<'a>>, u64)> {
-    let index = indexes.for_constraint(&fetch.constraint).ok_or_else(|| {
-        BeasError::execution(format!(
-            "no index built for access constraint {}",
-            fetch.constraint
-        ))
-    })?;
-    let _ = graph;
-
-    // The declared types of the constraint's key attributes: constants coming
-    // from SQL literals (e.g. a date written as a string) are cast to them so
-    // that index lookups compare like with like.
-    let atom_table_schema = &query.tables[fetch.atom].schema;
-    let key_types: Vec<beas_common::DataType> = fetch
-        .constraint
-        .x
-        .iter()
-        .map(|c| {
-            atom_table_schema
-                .column(c)
-                .map(|col| col.data_type)
-                .ok_or_else(|| {
-                    BeasError::execution(format!(
-                        "constraint key {c:?} missing from table {:?}",
-                        atom_table_schema.name
-                    ))
-                })
-        })
-        .collect::<Result<_>>()?;
-
-    // Candidate key values per context row (cartesian product over the key
-    // sources; IN-lists expand, constants are fixed, ctx columns read the row).
-    let mut ctx_key_indices: Vec<Option<usize>> = Vec::with_capacity(fetch.keys.len());
-    for k in &fetch.keys {
-        match k {
-            KeySource::Ctx(atom, col) => {
-                let alias = &query.tables[*atom].alias;
-                let idx = schema.index_of_origin(alias, col).ok_or_else(|| {
-                    BeasError::execution(format!(
-                        "context column {alias}.{col} missing during fetch"
-                    ))
-                })?;
-                ctx_key_indices.push(Some(idx));
-            }
-            _ => ctx_key_indices.push(None),
-        }
-    }
-
-    // Collect the distinct keys across all context rows.  Keys are
-    // canonicalized through the shared key module (`beas_common::key`) so
-    // the lookup agrees with the index and with the baseline joins on
-    // numeric/date coercion.  NULL key values are *dropped*: a fetch key
-    // stands for an equi-join (or equality predicate) on the constraint's X
-    // attributes, and SQL equality never matches NULL — whereas the index
-    // groups NULLs with DISTINCT semantics, so looking NULL up would
-    // resurrect exactly the rows the baseline joins exclude.
-    let mut distinct_keys: Vec<Vec<Value>> = Vec::new();
-    let mut seen_keys: HashSet<Vec<Value>> = HashSet::new();
-    let mut row_keys: Vec<Vec<Vec<Value>>> = Vec::with_capacity(rows.len());
-    for row in rows {
-        let mut alternatives: Vec<Vec<Value>> = vec![vec![]];
-        for ((k, ctx_idx), key_type) in fetch.keys.iter().zip(&ctx_key_indices).zip(&key_types) {
-            let raw: Vec<Value> = match (k, ctx_idx) {
-                (KeySource::Constant(v), _) => vec![v.clone()],
-                (KeySource::Constants(vs), _) => vs.clone(),
-                (KeySource::Ctx(_, _), Some(i)) => {
-                    vec![row
-                        .get(*i)
-                        .cloned()
-                        .ok_or_else(|| BeasError::execution("context key out of bounds"))?]
+    config: FetchConfig,
+) -> Result<(Vec<RowRef<'a>>, u64)> {
+    let keys = StepKeys::collect(&step.keys, rows)?;
+    let (buckets, accessed) = fetch_buckets_keyed(index, &keys.keys, config);
+    let mut out = Vec::new();
+    let mut first = 0;
+    for (row, &end) in rows.iter().zip(&keys.ends) {
+        let row_len = row.len();
+        for &id in &keys.ids[first..end] {
+            let prefix = &keys.keys[id];
+            for tuple in buckets[id] {
+                let candidate = Joined {
+                    row,
+                    row_len,
+                    prefix,
+                    tuple,
+                };
+                if !passes(&step.post_filters, &candidate)? {
+                    continue;
                 }
-                (KeySource::Ctx(_, _), None) => unreachable!("resolved above"),
-            };
-            let options: Vec<Value> = raw
-                .into_iter()
-                // NULL never equals anything: it contributes no key option
-                .filter(|v| !v.is_null())
-                .map(|v| {
-                    v.cast(*key_type)
-                        .map(|c| beas_common::canonical_key_value(&c))
-                })
-                .collect::<Result<_>>()?;
-            let mut next = Vec::with_capacity(alternatives.len() * options.len());
-            for alt in &alternatives {
-                for opt in &options {
-                    let mut key = alt.clone();
-                    key.push(opt.clone());
-                    next.push(key);
-                }
-            }
-            // a key position with no non-NULL option leaves the row keyless:
-            // it joins nothing, exactly like a NULL join key in the baseline
-            alternatives = next;
-        }
-        for key in &alternatives {
-            if seen_keys.insert(key.clone()) {
-                distinct_keys.push(key.clone());
+                out.push(row.extended(Arc::clone(prefix), tuple));
             }
         }
-        row_keys.push(alternatives);
+        first = end;
     }
-
-    // Fetch each distinct key once, counting accessed partial tuples.  The
-    // bucket slices are borrowed from the index — no copy — and the key's
-    // X-prefix becomes a single shared segment reused by every joined row.
-    // Large key sets are partitioned across scoped worker threads.
-    let x_len = fetch.constraint.x.len();
-    let (buckets, accessed) = fetch_buckets_keyed(index, &distinct_keys, x_len, fetch_config);
-
-    // Extend the schema with the fetched atom's X and Y attributes.
-    let alias = &fetch.alias;
-    let atom_schema = &query.tables[fetch.atom].schema;
-    let mut new_fields: Vec<Field> = schema.fields().to_vec();
-    let mut added_cols: Vec<String> = Vec::new();
-    for col in fetch.constraint.x.iter().chain(fetch.constraint.y.iter()) {
-        let dt = atom_schema
-            .column(col)
-            .map(|c| c.data_type)
-            .ok_or_else(|| {
-                BeasError::execution(format!(
-                    "constraint column {col:?} missing from table {:?}",
-                    atom_schema.name
-                ))
-            })?;
-        new_fields.push(Field::base(alias.clone(), col.clone(), dt));
-        added_cols.push(col.clone());
-    }
-    let new_schema = Schema::new(new_fields);
-
-    // Join → post-filter → dedupe as one pull-based pipeline.
-    let mut filters = Vec::with_capacity(fetch.post_filters.len());
-    for pred in &fetch.post_filters {
-        filters.push(rewrite_to_ctx(pred, query, graph, &new_schema)?);
-    }
-    let mut stream: Box<dyn RowStream<'a> + '_> =
-        Box::new(FetchJoinStream::new(rows, &row_keys, &buckets));
-    for pred in filters {
-        stream = Box::new(FilterStream::new(stream, move |row: &RowRef<'a>| {
-            evaluate_predicate(&pred, row)
-        }));
-    }
-    // Set semantics: the context holds distinct rows.
-    let new_rows = DedupeStream::new(stream).collect_rows()?;
-    Ok((new_schema, new_rows, accessed))
+    Ok((out, accessed))
 }
 
-/// Rewrite an expression bound over the query's flat input schema so that it
-/// reads from the context relation instead.  Columns not present in the
-/// context are substituted through their equivalence class (an equated
-/// context column or a constant).
-pub fn rewrite_to_ctx(
-    expr: &BoundExpr,
-    query: &BoundQuery,
-    graph: &QueryGraph,
-    ctx_schema: &Schema,
-) -> Result<BoundExpr> {
-    let classes = graph.equivalence_classes();
-    let mut substitutions: HashMap<usize, BoundExpr> = HashMap::new();
-    for col in expr.referenced_columns() {
-        let field = query.input_schema.field(col);
-        let alias = field.table.clone().ok_or_else(|| {
-            BeasError::execution(format!("column {} has no table origin", field.name))
-        })?;
-        // direct hit
-        if let Some(i) = ctx_schema.index_of_origin(&alias, &field.name) {
-            substitutions.insert(col, BoundExpr::Column(i));
-            continue;
+/// Whether `row` satisfies every filter, evaluated in order and stopping at
+/// the first that rejects it.
+fn passes<R: ValueRow + ?Sized>(filters: &[BoundExpr], row: &R) -> Result<bool> {
+    for f in filters {
+        if !evaluate_predicate(f, row)? {
+            return Ok(false);
         }
-        // through the equivalence class
-        let (atom_idx, _) = crate::graph::atom_of_column(query, col);
-        let term = (atom_idx, field.name.clone());
-        let mut found = None;
-        if let Some(class) = classes.iter().find(|c| c.contains(&term)) {
-            for member in class {
-                let member_alias = &query.tables[member.0].alias;
-                if let Some(i) = ctx_schema.index_of_origin(member_alias, &member.1) {
-                    found = Some(BoundExpr::Column(i));
-                    break;
-                }
-            }
-            if found.is_none() {
-                if let Some(v) = graph.constant_for(&term, &classes) {
-                    found = Some(BoundExpr::Literal(v));
-                }
-            }
-        } else if let Some(v) = graph.constants.get(&term) {
-            found = Some(BoundExpr::Literal(v.clone()));
-        }
-        let replacement = found.ok_or_else(|| {
-            BeasError::execution(format!(
-                "column {}.{} is not available in the bounded context {ctx_schema}",
-                alias, field.name
-            ))
-        })?;
-        substitutions.insert(col, replacement);
     }
-    Ok(substitute(expr, &substitutions))
-}
-
-fn substitute(expr: &BoundExpr, subs: &HashMap<usize, BoundExpr>) -> BoundExpr {
-    match expr {
-        BoundExpr::Column(i) => subs.get(i).cloned().unwrap_or_else(|| expr.clone()),
-        BoundExpr::Literal(_) => expr.clone(),
-        BoundExpr::Binary { op, left, right } => BoundExpr::Binary {
-            op: *op,
-            left: Box::new(substitute(left, subs)),
-            right: Box::new(substitute(right, subs)),
-        },
-        BoundExpr::Not(e) => BoundExpr::Not(Box::new(substitute(e, subs))),
-        BoundExpr::Negate(e) => BoundExpr::Negate(Box::new(substitute(e, subs))),
-        BoundExpr::IsNull { expr, negated } => BoundExpr::IsNull {
-            expr: Box::new(substitute(expr, subs)),
-            negated: *negated,
-        },
-        BoundExpr::InList {
-            expr,
-            list,
-            negated,
-        } => BoundExpr::InList {
-            expr: Box::new(substitute(expr, subs)),
-            list: list.iter().map(|e| substitute(e, subs)).collect(),
-            negated: *negated,
-        },
-        BoundExpr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => BoundExpr::Between {
-            expr: Box::new(substitute(expr, subs)),
-            low: Box::new(substitute(low, subs)),
-            high: Box::new(substitute(high, subs)),
-            negated: *negated,
-        },
-        BoundExpr::Like {
-            expr,
-            pattern,
-            negated,
-        } => BoundExpr::Like {
-            expr: Box::new(substitute(expr, subs)),
-            pattern: Box::new(substitute(pattern, subs)),
-            negated: *negated,
-        },
-    }
+    Ok(true)
 }
 
 #[cfg(test)]

@@ -12,8 +12,10 @@
 //!   Feasibility Theorem's effective syntax;
 //! * [`planner`] / [`plan`] — the **BE Plan Generator**: bounded plans built
 //!   from `fetch` operations, each annotated with a deduced bound;
-//! * [`executor`] — the **BE Plan Executor**: runs `fetch` against the
-//!   constraint indices and finalizes answers over bounded intermediates;
+//! * [`executor`] — the **BE Plan Executor**: runs a bounded plan,
+//!   compiled once per prepared query — `fetch` against the constraint
+//!   indices, then the answer-level finalization over bounded
+//!   intermediates;
 //! * [`partial`] — the **BE Plan Optimizer**: partially bounded plans for
 //!   queries that are not covered;
 //! * [`approx`] — resource-bounded approximation under a tuple budget;

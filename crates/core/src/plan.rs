@@ -8,9 +8,13 @@
 //! the demo's budget check (scenario 1(a)) and Fig. 2(B)'s annotated plans
 //! show.
 
+use crate::graph::{QueryGraph, Term};
 use beas_access::AccessConstraint;
-use beas_common::Value;
-use beas_sql::BoundExpr;
+use beas_common::{
+    canonical_key_value, joinable, BeasError, DataType, Field, Result, Schema, Value,
+};
+use beas_sql::{BoundAggregate, BoundExpr, BoundQuery};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 
 /// Where the key values of a fetch come from.
@@ -118,6 +122,369 @@ impl BoundedPlan {
 impl fmt::Display for BoundedPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.explain())
+    }
+}
+
+/// A [`BoundedPlan`] compiled against its query: every fact execution needs
+/// that depends only on the plan, derived once.
+///
+/// `BeasSystem::prepare` compiles a covered query's plan and caches
+/// the program with it, so a plan-cache hit pays only for what depends on
+/// the data — index lookups, the fetch join and the answer-level
+/// finalization.  The program holds positions, values and expressions, never
+/// an index or bucket reference: it stays valid on every snapshot on which
+/// its prepared query is live, and the executor resolves the constraint
+/// indices of the snapshot it runs on.
+#[derive(Debug, Clone)]
+pub(crate) struct FetchProgram {
+    pub(crate) steps: Vec<CompiledFetch>,
+    /// Schema of the context relation after the last step.
+    pub(crate) schema: Schema,
+    /// The answer stage; `None` for a program compiled with
+    /// [`FetchProgram::compile_fetches`].
+    pub(crate) finalize: Option<Finalize>,
+}
+
+/// One compiled fetch step.
+#[derive(Debug, Clone)]
+pub(crate) struct CompiledFetch {
+    /// The constraint whose index performs the fetch.
+    pub(crate) constraint: AccessConstraint,
+    /// `constraint.id()`: the index lookup key.
+    pub(crate) constraint_id: String,
+    /// Metric label, `Fetch(<constraint id>)`.
+    pub(crate) label: String,
+    /// One part per attribute of the constraint's `X`, in `X` order.
+    pub(crate) keys: Vec<KeyPart>,
+    /// Predicates checkable after this step, over its output positions.
+    pub(crate) post_filters: Vec<BoundExpr>,
+}
+
+/// Where one key attribute of a compiled fetch reads its values.
+#[derive(Debug, Clone)]
+pub(crate) enum KeyPart {
+    /// Constant options, cast to the key type, canonicalized, with NULL and
+    /// NaN dropped and duplicates removed (`IN (7, 7.0)` is one option).
+    /// Empty when no option can ever match.
+    Options(Vec<Value>),
+    /// A context column, cast to `ty` and canonicalized per row.
+    Ctx { pos: usize, ty: DataType },
+    /// A constant that does not cast to the key type.  The error is raised
+    /// when the step builds the keys of its first context row, which is when
+    /// an uncompiled fetch would have met it.
+    Invalid(BeasError),
+}
+
+/// The answer stage, rewritten to context positions.
+#[derive(Debug, Clone)]
+pub(crate) struct Finalize {
+    /// Residual predicates spanning several atoms.
+    pub(crate) residual: Vec<BoundExpr>,
+    pub(crate) shape: FinalShape,
+    /// `(output column, ascending)` sort keys.
+    pub(crate) order_by: Vec<(usize, bool)>,
+    pub(crate) limit: Option<u64>,
+}
+
+/// Aggregation or plain projection.
+#[derive(Debug, Clone)]
+pub(crate) enum FinalShape {
+    Aggregate {
+        group_by: Vec<BoundExpr>,
+        aggregates: Vec<BoundAggregate>,
+        /// Over the aggregate rows, as bound.
+        having: Option<BoundExpr>,
+        /// Over the aggregate rows, as bound.
+        outputs: Vec<BoundExpr>,
+    },
+    Project {
+        outputs: Vec<BoundExpr>,
+    },
+}
+
+impl FetchProgram {
+    /// Compile `plan` for `query`: resolve key types and context positions,
+    /// cast and canonicalize constant keys, build each step's schema, and
+    /// rewrite every predicate and finalization expression to context
+    /// positions.  The only place bounded execution consults the query
+    /// graph's equivalence classes.
+    pub(crate) fn compile(
+        plan: &BoundedPlan,
+        query: &BoundQuery,
+        graph: &QueryGraph,
+    ) -> Result<Self> {
+        let classes = graph.equivalence_classes();
+        let mut program = Self::compile_steps(plan, query, graph, &classes)?;
+        let rewrite =
+            |e: &BoundExpr| rewrite_with_classes(e, query, graph, &classes, &program.schema);
+        let residual = plan
+            .residual_predicates
+            .iter()
+            .map(rewrite)
+            .collect::<Result<_>>()?;
+        let shape = if query.is_aggregate {
+            let mut aggregates = query.aggregates.clone();
+            for agg in &mut aggregates {
+                if let Some(arg) = &agg.arg {
+                    agg.arg = Some(rewrite(arg)?);
+                }
+            }
+            FinalShape::Aggregate {
+                group_by: query.group_by.iter().map(rewrite).collect::<Result<_>>()?,
+                aggregates,
+                having: query.having.clone(),
+                outputs: query.output.iter().map(|(e, _)| e.clone()).collect(),
+            }
+        } else {
+            FinalShape::Project {
+                outputs: query
+                    .output
+                    .iter()
+                    .map(|(e, _)| rewrite(e))
+                    .collect::<Result<_>>()?,
+            }
+        };
+        program.finalize = Some(Finalize {
+            residual,
+            shape,
+            order_by: query.order_by.clone(),
+            limit: query.limit,
+        });
+        Ok(program)
+    }
+
+    /// Compile only the fetch steps: the program produces the context
+    /// relation and nothing else.  Partially bounded plans use this — their
+    /// answer stage runs on the conventional engine and may read columns
+    /// the context lacks.
+    pub(crate) fn compile_fetches(
+        plan: &BoundedPlan,
+        query: &BoundQuery,
+        graph: &QueryGraph,
+    ) -> Result<Self> {
+        Self::compile_steps(plan, query, graph, &graph.equivalence_classes())
+    }
+
+    fn compile_steps(
+        plan: &BoundedPlan,
+        query: &BoundQuery,
+        graph: &QueryGraph,
+        classes: &[BTreeSet<Term>],
+    ) -> Result<Self> {
+        let mut schema = Schema::empty();
+        let mut steps = Vec::with_capacity(plan.fetches.len());
+        for fetch in &plan.fetches {
+            let table = &query.tables[fetch.atom].schema;
+            let column_type = |col: &String, what: &str| {
+                table.column(col).map(|c| c.data_type).ok_or_else(|| {
+                    BeasError::execution(format!(
+                        "constraint {what} {col:?} missing from table {:?}",
+                        table.name
+                    ))
+                })
+            };
+            let mut keys = Vec::with_capacity(fetch.keys.len());
+            for (source, x) in fetch.keys.iter().zip(&fetch.constraint.x) {
+                let ty = column_type(x, "key")?;
+                keys.push(match source {
+                    KeySource::Constant(v) => constant_options(std::slice::from_ref(v), ty),
+                    KeySource::Constants(vs) => constant_options(vs, ty),
+                    KeySource::Ctx(atom, col) => {
+                        let alias = &query.tables[*atom].alias;
+                        let pos = schema.index_of_origin(alias, col).ok_or_else(|| {
+                            BeasError::execution(format!(
+                                "context column {alias}.{col} missing during fetch"
+                            ))
+                        })?;
+                        KeyPart::Ctx { pos, ty }
+                    }
+                });
+            }
+            let width = schema.len();
+            let mut fields = schema.fields().to_vec();
+            for col in fetch.constraint.x.iter().chain(&fetch.constraint.y) {
+                let ty = column_type(col, "column")?;
+                fields.push(Field::base(fetch.alias.clone(), col.clone(), ty));
+            }
+            schema = Schema::new(fields);
+            let mut post_filters = Vec::with_capacity(fetch.post_filters.len());
+            for p in &fetch.post_filters {
+                let filter = rewrite_with_classes(p, query, graph, classes, &schema)?;
+                if !holds_on_every_key(&filter, width, &keys) {
+                    post_filters.push(filter);
+                }
+            }
+            let constraint_id = fetch.constraint.id();
+            steps.push(CompiledFetch {
+                constraint: fetch.constraint.clone(),
+                label: format!("Fetch({constraint_id})"),
+                constraint_id,
+                keys,
+                post_filters,
+            });
+        }
+        Ok(FetchProgram {
+            steps,
+            schema,
+            finalize: None,
+        })
+    }
+}
+
+/// Whether `filter` is true for every row a step with these `keys` can
+/// produce, so it need not run: it reads only the step's key columns
+/// (positions `width..width + keys.len()`), each fixed to one constant, and
+/// evaluates to true on those constants.  Typically the planner's
+/// `x = constant` check on a key the fetch was looked up by.  A filter that
+/// evaluates to false or fails stays, so it rejects rows or raises its
+/// error exactly when it would have.
+fn holds_on_every_key(filter: &BoundExpr, width: usize, keys: &[KeyPart]) -> bool {
+    let mut constants = HashMap::new();
+    for col in filter.referenced_columns() {
+        match col.checked_sub(width).and_then(|i| keys.get(i)) {
+            Some(KeyPart::Options(options)) if options.len() == 1 => {
+                constants.insert(col, BoundExpr::Literal(options[0].clone()));
+            }
+            _ => return false,
+        }
+    }
+    let empty: &[Value] = &[];
+    matches!(
+        beas_sql::evaluate_predicate(&substitute(filter, &constants), empty),
+        Ok(true)
+    )
+}
+
+/// The key options of constant sources: NULL and NaN never equal anything
+/// and contribute none; the rest are cast to the key type, canonicalized
+/// through `beas_common::key` (so the lookup agrees with the index and the
+/// baseline joins) and deduplicated in first-seen order.
+fn constant_options(values: &[Value], ty: DataType) -> KeyPart {
+    let mut seen = HashSet::with_capacity(values.len());
+    let mut options = Vec::with_capacity(values.len());
+    for v in values.iter().filter(|v| joinable(v)) {
+        match v.cast(ty) {
+            Ok(c) => {
+                let key = canonical_key_value(&c);
+                if seen.insert(key.clone()) {
+                    options.push(key);
+                }
+            }
+            Err(e) => return KeyPart::Invalid(e),
+        }
+    }
+    KeyPart::Options(options)
+}
+
+/// Rewrite an expression bound over the query's flat input schema so that it
+/// reads from the context relation instead.  Columns not present in the
+/// context are substituted through their equivalence class (an equated
+/// context column or a constant).
+///
+/// Bounded execution calls this only through [`FetchProgram::compile`];
+/// resource-bounded approximation still rewrites per run.
+pub(crate) fn rewrite_to_ctx(
+    expr: &BoundExpr,
+    query: &BoundQuery,
+    graph: &QueryGraph,
+    ctx_schema: &Schema,
+) -> Result<BoundExpr> {
+    rewrite_with_classes(expr, query, graph, &graph.equivalence_classes(), ctx_schema)
+}
+
+fn rewrite_with_classes(
+    expr: &BoundExpr,
+    query: &BoundQuery,
+    graph: &QueryGraph,
+    classes: &[BTreeSet<Term>],
+    ctx_schema: &Schema,
+) -> Result<BoundExpr> {
+    let mut substitutions: HashMap<usize, BoundExpr> = HashMap::new();
+    for col in expr.referenced_columns() {
+        let field = query.input_schema.field(col);
+        let alias = field.table.clone().ok_or_else(|| {
+            BeasError::execution(format!("column {} has no table origin", field.name))
+        })?;
+        // direct hit
+        if let Some(i) = ctx_schema.index_of_origin(&alias, &field.name) {
+            substitutions.insert(col, BoundExpr::Column(i));
+            continue;
+        }
+        // through the equivalence class
+        let (atom_idx, _) = crate::graph::atom_of_column(query, col);
+        let term = (atom_idx, field.name.clone());
+        let mut found = None;
+        if let Some(class) = classes.iter().find(|c| c.contains(&term)) {
+            for member in class {
+                let member_alias = &query.tables[member.0].alias;
+                if let Some(i) = ctx_schema.index_of_origin(member_alias, &member.1) {
+                    found = Some(BoundExpr::Column(i));
+                    break;
+                }
+            }
+            if found.is_none() {
+                if let Some(v) = graph.constant_for(&term, classes) {
+                    found = Some(BoundExpr::Literal(v));
+                }
+            }
+        } else if let Some(v) = graph.constants.get(&term) {
+            found = Some(BoundExpr::Literal(v.clone()));
+        }
+        let replacement = found.ok_or_else(|| {
+            BeasError::execution(format!(
+                "column {}.{} is not available in the bounded context {ctx_schema}",
+                alias, field.name
+            ))
+        })?;
+        substitutions.insert(col, replacement);
+    }
+    Ok(substitute(expr, &substitutions))
+}
+
+fn substitute(expr: &BoundExpr, subs: &HashMap<usize, BoundExpr>) -> BoundExpr {
+    match expr {
+        BoundExpr::Column(i) => subs.get(i).cloned().unwrap_or_else(|| expr.clone()),
+        BoundExpr::Literal(_) => expr.clone(),
+        BoundExpr::Binary { op, left, right } => BoundExpr::Binary {
+            op: *op,
+            left: Box::new(substitute(left, subs)),
+            right: Box::new(substitute(right, subs)),
+        },
+        BoundExpr::Not(e) => BoundExpr::Not(Box::new(substitute(e, subs))),
+        BoundExpr::Negate(e) => BoundExpr::Negate(Box::new(substitute(e, subs))),
+        BoundExpr::IsNull { expr, negated } => BoundExpr::IsNull {
+            expr: Box::new(substitute(expr, subs)),
+            negated: *negated,
+        },
+        BoundExpr::InList {
+            expr,
+            list,
+            negated,
+        } => BoundExpr::InList {
+            expr: Box::new(substitute(expr, subs)),
+            list: list.iter().map(|e| substitute(e, subs)).collect(),
+            negated: *negated,
+        },
+        BoundExpr::Between {
+            expr,
+            low,
+            high,
+            negated,
+        } => BoundExpr::Between {
+            expr: Box::new(substitute(expr, subs)),
+            low: Box::new(substitute(low, subs)),
+            high: Box::new(substitute(high, subs)),
+            negated: *negated,
+        },
+        BoundExpr::Like {
+            expr,
+            pattern,
+            negated,
+        } => BoundExpr::Like {
+            expr: Box::new(substitute(expr, subs)),
+            pattern: Box::new(substitute(pattern, subs)),
+            negated: *negated,
+        },
     }
 }
 

@@ -445,6 +445,72 @@ mod tests {
         assert!(plan.fetches.iter().all(|f| f.atom != 0));
     }
 
+    /// The TLC schema and the plan of `sql` under the TLC access schema.
+    fn tlc_plan(sql: &str) -> BoundedPlan {
+        let mut db = Database::new();
+        for table in beas_tlc::schema::all_tables() {
+            db.create_table(table).unwrap();
+        }
+        let schema = beas_tlc::tlc_access_schema();
+        let bound = Binder::new(&db).bind(&parse_select(sql).unwrap()).unwrap();
+        let graph = QueryGraph::build(&bound).unwrap();
+        let coverage = Checker::new(&schema).check(&bound, &graph);
+        generate_bounded_plan(&bound, &graph, &coverage).unwrap()
+    }
+
+    fn tlc_query(id: &str) -> String {
+        beas_tlc::all_queries()
+            .into_iter()
+            .find(|q| q.id == id)
+            .unwrap()
+            .sql
+    }
+
+    #[test]
+    fn tlc_q4_and_q10_fetch_customer_once() {
+        // (region, segment) -> pnum, city, credit_score supplies every
+        // customer attribute Q4/Q10 read; the fixpoint's second customer
+        // fetch through pnum -> name, ... is pruned, and the bound with it.
+        let cases: [(&str, &str, &[&str], u64); 2] = [
+            ("Q4", "billing", &["pnum", "year"], 12),
+            ("Q10", "device", &["pnum"], 3),
+        ];
+        for (id, table, x, n) in cases {
+            let plan = tlc_plan(&tlc_query(id));
+            let steps: Vec<(&str, Vec<&str>)> = plan
+                .fetches
+                .iter()
+                .map(|f| {
+                    let x = f.constraint.x.iter().map(String::as_str).collect();
+                    (f.constraint.table.as_str(), x)
+                })
+                .collect();
+            assert_eq!(
+                steps,
+                vec![("customer", vec!["region", "segment"]), (table, x.to_vec())],
+                "{id}"
+            );
+            assert_eq!(plan.total_bound, 50_000 + 50_000 * n, "{id}");
+            assert_eq!(plan.constraints_used, 2, "{id}");
+        }
+        // a query that reads a customer attribute only pnum -> ... fetches
+        // keeps the second step
+        let named = tlc_plan(
+            "SELECT DISTINCT c.name FROM customer c, billing bl \
+             WHERE c.region = 'east' AND c.segment = 'vip' \
+             AND c.pnum = bl.pnum AND bl.year = 2016 AND bl.paid = FALSE",
+        );
+        assert_eq!(named.fetches.len(), 3);
+        assert_eq!(
+            named
+                .fetches
+                .iter()
+                .filter(|f| f.constraint.table == "customer")
+                .count(),
+            2
+        );
+    }
+
     #[test]
     fn global_index_resolves_columns() {
         let db = db();

@@ -13,12 +13,12 @@
 use crate::analyzer::{PerformanceAnalysis, QueryAnalysis, SystemMeasurement};
 use crate::approx::{execute_with_budget, ApproximateExecution};
 use crate::checker::{Checker, CoverageResult};
-use crate::executor::{execute_bounded_with, FetchConfig};
+use crate::executor::{execute_program, FetchConfig};
 use crate::graph::QueryGraph;
 use crate::partial::{
     execute_partially_bounded_with, PartialOptions, DEFAULT_REDUCTION_MIN_SAVINGS,
 };
-use crate::plan::BoundedPlan;
+use crate::plan::{BoundedPlan, FetchProgram};
 use crate::planner::generate_bounded_plan;
 use beas_access::{
     build_indexes, discover, AccessIndexes, AccessSchema, DiscoveryConfig, Maintainer,
@@ -83,7 +83,8 @@ pub struct CheckReport {
 }
 
 /// A fully prepared query — the output of parse → bind → graph → check →
-/// plan, pinned at the database write generation it was computed against.
+/// plan → compile (a `FetchProgram`), pinned at the database write
+/// generation it was computed against.
 /// Cached entries are shared (`Arc`), so a cache hit costs one hash lookup
 /// and no cloning.
 ///
@@ -110,6 +111,11 @@ pub struct PreparedQuery {
     coverage: CoverageResult,
     /// The bounded plan when the query is covered.
     plan: Option<BoundedPlan>,
+    /// The plan compiled once, at preparation; execution runs this.  A
+    /// compile error is kept and raised when the query executes, so
+    /// preparing (and the checks served from it) behaves as for any other
+    /// covered query.
+    program: Option<Result<FetchProgram>>,
 }
 
 impl PreparedQuery {
@@ -492,7 +498,14 @@ impl BeasSystem {
         if let Some(entry) = self.plan_cache.lookup(&key, &self.db) {
             return Ok((entry, true));
         }
-        let query = self.bind(sql)?;
+        let entry = Arc::new(self.prepare_bound(self.bind(sql)?)?);
+        self.plan_cache.insert(key, Arc::clone(&entry));
+        Ok((entry, false))
+    }
+
+    /// Graph → coverage check → bounded plan → compiled program for an
+    /// already-bound query, pinned at the current generations.
+    fn prepare_bound(&self, query: BoundQuery) -> Result<PreparedQuery> {
         let graph = QueryGraph::build(&query)?;
         let coverage = Checker::new(&self.schema).check(&query, &graph);
         let plan = if coverage.covered {
@@ -500,16 +513,18 @@ impl BeasSystem {
         } else {
             None
         };
-        let entry = Arc::new(PreparedQuery {
+        let program = plan
+            .as_ref()
+            .map(|plan| FetchProgram::compile(plan, &query, &graph));
+        Ok(PreparedQuery {
             generation: self.db.generation(),
             read_set: read_set_of(&self.db, &query),
             query,
             graph,
             coverage,
             plan,
-        });
-        self.plan_cache.insert(key, Arc::clone(&entry));
-        Ok((entry, false))
+            program,
+        })
     }
 
     /// Hit/miss/invalidation counters of the plan cache.
@@ -716,21 +731,7 @@ impl BeasSystem {
     /// Execute an already-bound query (bypasses the plan cache — the query
     /// was bound outside the system, so there is no SQL text to key on).
     pub fn execute_bound_query(&self, query: &BoundQuery) -> Result<ExecutionOutcome> {
-        let graph = QueryGraph::build(query)?;
-        let coverage = Checker::new(&self.schema).check(query, &graph);
-        let plan = if coverage.covered {
-            Some(generate_bounded_plan(query, &graph, &coverage)?)
-        } else {
-            None
-        };
-        let prepared = PreparedQuery {
-            generation: self.db.generation(),
-            read_set: read_set_of(&self.db, query),
-            query: query.clone(),
-            graph,
-            coverage,
-            plan,
-        };
+        let prepared = self.prepare_bound(query.clone())?;
         self.execute_prepared(&prepared, None)
     }
 
@@ -748,8 +749,13 @@ impl BeasSystem {
         let graph = &prepared.graph;
         let coverage = &prepared.coverage;
         if let Some(plan) = &prepared.plan {
-            let result =
-                execute_bounded_with(plan, query, graph, &self.indexes, self.fetch_config, quota)?;
+            let program = prepared
+                .program
+                .as_ref()
+                .expect("a prepared query with a plan holds its compiled program")
+                .as_ref()
+                .map_err(Clone::clone)?;
+            let result = execute_program(program, &self.indexes, self.fetch_config, quota)?;
             return Ok(ExecutionOutcome {
                 rows: result.rows,
                 schema: query.output_schema.clone(),
@@ -1063,6 +1069,7 @@ impl BeasSystem {
     /// 1. the cache respects its capacity bound,
     /// 2. cache keys are normalized SQL (normalization is idempotent),
     /// 3. an entry caches a plan exactly when its coverage check passed,
+    ///    and a compiled program exactly when it caches a plan,
     /// 4. a *live* entry — every read-set table still at the generation it
     ///    was prepared against — re-derives the identical read set from its
     ///    bound query, so a cache hit can never serve a plan whose table
@@ -1097,6 +1104,11 @@ impl BeasSystem {
             if entry.plan.is_some() != entry.coverage.covered {
                 return fail(format!(
                     "entry {key:?} caches a plan but its coverage check disagrees"
+                ));
+            }
+            if entry.program.is_some() != entry.plan.is_some() {
+                return fail(format!(
+                    "entry {key:?} caches a plan without its compiled program, or the reverse"
                 ));
             }
             let live = entry

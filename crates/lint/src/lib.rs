@@ -2,13 +2,14 @@
 //! # beas-lint
 //!
 //! Project-specific static analysis for the BEAS workspace: a self-contained
-//! token-level lexer plus a catalog of invariant rules (`L001`..`L009`) that
+//! token-level lexer plus a catalog of invariant rules (`L001`..`L010`) that
 //! mechanically enforce disciplines the compiler cannot see — propagated
 //! predicate errors, canonicalized join/index keys, quota checkpoints in
 //! blocking loops, storage mutation behind the maintenance facade, approved
 //! sync primitives in concurrent code, justified `#[allow]`s,
 //! `#![forbid(unsafe_code)]` crate roots, canonical hashing in columnar
-//! kernels, and all product timing routed through `beas_obs::clock`.
+//! kernels, all product timing routed through `beas_obs::clock`, and one
+//! core-count read per process.
 //!
 //! The rule catalog, the history behind each rule, and the suppression
 //! syntax (`// beas-lint: allow(Lnnn) -- reason`) are documented in
@@ -62,6 +63,10 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "L009",
         "raw Instant/SystemTime reads outside beas_obs; timing routes through beas_obs::clock",
+    ),
+    (
+        "L010",
+        "available_parallelism only in beas_common::default_workers (one core-count read per process)",
     ),
 ];
 

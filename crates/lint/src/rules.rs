@@ -112,10 +112,18 @@ const RAW_CLOCK_TYPES: &[&str] = &["Instant", "SystemTime"];
 /// scoping.
 const RAW_CLOCK_FILES: &[&str] = &["crates/obs/", "crates/bench/"];
 
+/// The one file allowed to ask the OS for the core count (rule L010):
+/// `beas_common::default_workers` reads it once per process and caches it.
+const CORE_COUNT_FILE: &str = "crates/common/src/morsel.rs";
+
+/// Out-of-workspace packages exempt from rule L010: the service benchmark
+/// records the host core count once, as run metadata.
+const CORE_COUNT_EXEMPT: &[&str] = &["svcbench/"];
+
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule id (`L001` .. `L009`, or `L000` for a malformed suppression).
+    /// Rule id (`L001` .. `L010`, or `L000` for a malformed suppression).
     pub rule: &'static str,
     /// Workspace-relative path.
     pub file: String,
@@ -190,6 +198,7 @@ pub fn lint_source(src: &str, ctx: &FileContext) -> Vec<Finding> {
     check_l007(&sig, &all, ctx, &mut findings);
     check_l008(&sig, &all, ctx, &mut findings);
     check_l009(&sig, ctx, &mut findings);
+    check_l010(&sig, ctx, &mut findings);
 
     findings.retain(|f| {
         // L006/L007 apply everywhere; the structural rules skip test code
@@ -746,6 +755,31 @@ fn check_l009(sig: &[&Token], ctx: &FileContext, findings: &mut Vec<Finding>) {
             });
         }
         i += 1;
+    }
+}
+
+/// L010 — `std::thread::available_parallelism` only in
+/// [`CORE_COUNT_FILE`].  On Linux the call reads cgroup files (tens of
+/// microseconds); made once per bounded fetch step it cost more than the
+/// step's index lookups.  Every worker count comes from
+/// `beas_common::default_workers`, which reads the core count once per
+/// process.
+fn check_l010(sig: &[&Token], ctx: &FileContext, findings: &mut Vec<Finding>) {
+    if ctx.path == CORE_COUNT_FILE || CORE_COUNT_EXEMPT.iter().any(|p| ctx.path.starts_with(p)) {
+        return;
+    }
+    for t in sig {
+        if t.is_ident("available_parallelism") {
+            findings.push(Finding {
+                rule: "L010",
+                file: ctx.path.clone(),
+                line: t.line,
+                message: "`available_parallelism` outside `beas_common::default_workers`; \
+                    it reads cgroup files on every call — take the process-wide \
+                    cached count from `beas_common::default_workers`"
+                    .to_string(),
+            });
+        }
     }
 }
 

@@ -190,6 +190,34 @@ fn l009_clean_when_timing_routes_through_the_sanctioned_clock() {
 }
 
 #[test]
+fn l010_fires_on_core_count_reads_outside_default_workers() {
+    let findings = lint_fixture("l010_fire.rs", "crates/core/src/executor.rs");
+    assert_eq!(
+        rules_of(&findings),
+        vec!["L010", "L010", "L010"],
+        "{findings:?}"
+    );
+    assert_eq!(findings[0].line, 3, "the import is a finding too");
+    assert!(findings[1].message.contains("default_workers"));
+}
+
+#[test]
+fn l010_exempts_default_workers_and_the_service_benchmark() {
+    for path in ["crates/common/src/morsel.rs", "svcbench/src/env.rs"] {
+        let findings = lint_fixture("l010_fire.rs", path);
+        assert!(findings.is_empty(), "{path}: {findings:?}");
+    }
+    // the rest of the common crate is not exempt
+    assert!(!lint_fixture("l010_fire.rs", "crates/common/src/quota.rs").is_empty());
+}
+
+#[test]
+fn l010_clean_when_workers_come_from_the_cached_count() {
+    let findings = lint_fixture("l010_clean.rs", "crates/core/src/executor.rs");
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
 fn justified_suppressions_silence_findings() {
     // l004_fire.rs shows the violations fire; suppressed.rs is the same
     // shape with above-line, multi-comment-line and same-line suppressions
