@@ -176,8 +176,6 @@ impl<'a> Checker<'a> {
             }
         }
 
-        let fetch_sequence = prune_redundant_steps(fetch_sequence, graph, &classes);
-
         // Which atoms ended up fully covered?
         let mut covered_atoms = BTreeSet::new();
         let mut missing = Vec::new();
@@ -218,72 +216,6 @@ impl<'a> Checker<'a> {
             reasons,
         }
     }
-}
-
-/// Backward pass over the fixpoint's firing sequence, dropping steps that
-/// add nothing to the answer.
-///
-/// The fixpoint fires every constraint that yields a new term, including
-/// terms the query never reads: TLC Q4/Q10 fetch `customer` a second time
-/// through `pnum → name, …` after `(region, segment) → pnum, city, …` has
-/// already supplied every `c` attribute they use.  A step is dropped when
-///
-/// * an earlier step fetched the same atom, and its `X ∪ Y` contains every
-///   key attribute of the step — the step's key then only restates columns
-///   that are already in the context, so its lookup filters nothing and
-///   every predicate on those columns is applied by the earlier step; and
-/// * none of the step's *new* terms (its `Y` attributes no earlier step on
-///   the atom fetched) is used: not by an output, predicate, group-by or
-///   aggregate argument (the atom's needed attributes), and not as a key by
-///   a later kept step.  Use is judged per equivalence class, so a term the
-///   query reads only through an equated column still counts.
-///
-/// Walking backwards lets a dropped step's keys stop counting as uses of
-/// the steps before it.  The planner then never sees the dropped steps, so
-/// the deduced bound shrinks with them.
-fn prune_redundant_steps(
-    steps: Vec<FetchStep>,
-    graph: &QueryGraph,
-    classes: &[BTreeSet<Term>],
-) -> Vec<FetchStep> {
-    let mut used: BTreeSet<Term> = graph
-        .atoms
-        .iter()
-        .flat_map(|a| a.needed.iter().map(move |c| (a.idx, c.clone())))
-        .collect();
-    let is_used = |t: &Term, used: &BTreeSet<Term>| match classes.iter().find(|c| c.contains(t)) {
-        Some(class) => class.iter().any(|m| used.contains(m)),
-        None => used.contains(t),
-    };
-    let mut keep = vec![true; steps.len()];
-    for i in (0..steps.len()).rev() {
-        let step = &steps[i];
-        let earlier: Vec<&AccessConstraint> = steps[..i]
-            .iter()
-            .filter(|s| s.atom == step.atom)
-            .map(|s| &s.constraint)
-            .collect();
-        let supplies = |c: &AccessConstraint, col: &String| c.x.contains(col) || c.y.contains(col);
-        let keys_restated = earlier
-            .iter()
-            .any(|c| step.constraint.x.iter().all(|x| supplies(c, x)));
-        let adds_used_term = step
-            .constraint
-            .y
-            .iter()
-            .filter(|y| !earlier.iter().any(|c| supplies(c, y)))
-            .any(|y| is_used(&(step.atom, y.clone()), &used));
-        if keys_restated && !adds_used_term {
-            keep[i] = false;
-        } else {
-            used.extend(step.constraint.x.iter().map(|x| (step.atom, x.clone())));
-        }
-    }
-    steps
-        .into_iter()
-        .zip(keep)
-        .filter_map(|(s, k)| k.then_some(s))
-        .collect()
 }
 
 #[cfg(test)]
@@ -492,36 +424,6 @@ mod tests {
         assert!(result.covered_atoms.contains(&2)); // business
         assert!(result.covered_atoms.contains(&1)); // package
         assert!(!result.covered_atoms.contains(&0)); // call
-    }
-
-    #[test]
-    fn second_fetch_of_an_atom_is_pruned_only_when_it_adds_nothing() {
-        // (pnum -> recnum) fetches the atom; a second constraint keyed by
-        // recnum alone restates a fetched column and adds only `region`,
-        // which the query never reads: pruned.
-        let restating = AccessSchema::from_constraints(vec![
-            AccessConstraint::new("call", &["pnum"], &["recnum"], 10).unwrap(),
-            AccessConstraint::new("call", &["recnum"], &["region"], 5).unwrap(),
-        ]);
-        let sql = "select recnum from call where pnum = 'x'";
-        let (result, _) = check(sql, &restating);
-        assert!(result.covered, "reasons: {:?}", result.reasons);
-        assert_eq!(result.fetch_sequence.len(), 1);
-        assert_eq!(result.fetch_sequence[0].constraint.x, vec!["pnum"]);
-        // reading `region` keeps the second step
-        let (result, _) = check("select region from call where pnum = 'x'", &restating);
-        assert_eq!(result.fetch_sequence.len(), 2);
-        // a key attribute the first step did not fetch (`date`) makes the
-        // second lookup a real filter on the atom: kept
-        let filtering = AccessSchema::from_constraints(vec![
-            AccessConstraint::new("call", &["pnum"], &["recnum"], 10).unwrap(),
-            AccessConstraint::new("call", &["recnum", "date"], &["region"], 5).unwrap(),
-        ]);
-        let (result, _) = check(
-            "select recnum from call where pnum = 'x' and date = '2016-07-04'",
-            &filtering,
-        );
-        assert_eq!(result.fetch_sequence.len(), 2);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! ([`execute_bounded_with`], [`execute_ctx_with`]) compile and then run.
 
 use crate::graph::QueryGraph;
-use crate::plan::{BoundedPlan, CompiledFetch, FetchProgram, FinalShape, KeyPart};
+use crate::plan::{BoundedPlan, CompiledFetch, FetchProgram, FetchSteps, FinalShape, KeyPart};
 use beas_access::AccessIndexes;
 use beas_common::{
     canonical_key_value, dedupe, is_canonical_key_value, joinable, BeasError, QuotaTracker, Result,
@@ -128,10 +128,10 @@ pub fn execute_ctx_with<'a>(
     fetch_config: FetchConfig,
     quota: Option<&QuotaTracker>,
 ) -> Result<CtxResult<'a>> {
-    let program = FetchProgram::compile_fetches(plan, query, graph)?;
-    let (rows, metrics, tuples_accessed) = run_fetches(&program, indexes, fetch_config, quota)?;
+    let fetches = FetchSteps::compile(plan, query, graph)?;
+    let (rows, metrics, tuples_accessed) = run_fetches(&fetches, indexes, fetch_config, quota)?;
     Ok(CtxResult {
-        schema: program.schema,
+        schema: fetches.schema,
         rows,
         metrics,
         tuples_accessed,
@@ -168,9 +168,7 @@ pub fn execute_bounded_with(
 }
 
 /// Run a compiled program end to end: its fetch steps, the residual
-/// predicates, and the answer-level finalization.  Fails for a program
-/// compiled with `FetchProgram::compile_fetches`, which has no answer
-/// stage.
+/// predicates, and the answer-level finalization.
 pub(crate) fn execute_program(
     program: &FetchProgram,
     indexes: &AccessIndexes,
@@ -178,12 +176,9 @@ pub(crate) fn execute_program(
     quota: Option<&QuotaTracker>,
 ) -> Result<BoundedExecution> {
     let start = clock::now();
-    let finalize = program
-        .finalize
-        .as_ref()
-        .ok_or_else(|| BeasError::execution("the program was compiled without an answer stage"))?;
+    let finalize = &program.finalize;
     let (mut rows, mut metrics, tuples_accessed) =
-        run_fetches(program, indexes, fetch_config, quota)?;
+        run_fetches(&program.fetches, indexes, fetch_config, quota)?;
 
     // Residual predicates spanning several atoms; errors propagate like the
     // baseline's Filter operator.
@@ -263,10 +258,10 @@ pub(crate) fn retain_matching<R: beas_common::ValueRow>(
     Ok(kept)
 }
 
-/// Run every fetch step of `program`: the context rows, the per-step
-/// metrics, and the partial tuples accessed.
+/// Run every step of `fetches`: the context rows, the per-step metrics, and
+/// the partial tuples accessed.
 fn run_fetches<'a>(
-    program: &FetchProgram,
+    fetches: &FetchSteps,
     indexes: &'a AccessIndexes,
     fetch_config: FetchConfig,
     quota: Option<&QuotaTracker>,
@@ -275,7 +270,7 @@ fn run_fetches<'a>(
     let mut metrics = ExecutionMetrics::new();
     let mut tuples_accessed: u64 = 0;
     let mut rows: Vec<RowRef<'a>> = vec![RowRef::empty()];
-    for step in &program.steps {
+    for step in &fetches.steps {
         let start = clock::now();
         if let Some(q) = quota {
             q.checkpoint()?;

@@ -137,12 +137,19 @@ impl fmt::Display for BoundedPlan {
 /// indices of the snapshot it runs on.
 #[derive(Debug, Clone)]
 pub(crate) struct FetchProgram {
+    pub(crate) fetches: FetchSteps,
+    pub(crate) finalize: Finalize,
+}
+
+/// The compiled fetch steps of a plan: they produce the context relation
+/// and nothing else.  Partially bounded plans run only these — their
+/// answer stage runs on the conventional engine and may read columns the
+/// context lacks.
+#[derive(Debug, Clone)]
+pub(crate) struct FetchSteps {
     pub(crate) steps: Vec<CompiledFetch>,
     /// Schema of the context relation after the last step.
     pub(crate) schema: Schema,
-    /// The answer stage; `None` for a program compiled with
-    /// [`FetchProgram::compile_fetches`].
-    pub(crate) finalize: Option<Finalize>,
 }
 
 /// One compiled fetch step.
@@ -203,20 +210,20 @@ pub(crate) enum FinalShape {
 }
 
 impl FetchProgram {
-    /// Compile `plan` for `query`: resolve key types and context positions,
-    /// cast and canonicalize constant keys, build each step's schema, and
-    /// rewrite every predicate and finalization expression to context
-    /// positions.  The only place bounded execution consults the query
-    /// graph's equivalence classes.
+    /// Compile `plan` for `query`: its fetch steps (see
+    /// [`FetchSteps::compile`]), then the residual predicates and every
+    /// finalization expression rewritten to context positions.  The only
+    /// place bounded execution consults the query graph's equivalence
+    /// classes.
     pub(crate) fn compile(
         plan: &BoundedPlan,
         query: &BoundQuery,
         graph: &QueryGraph,
     ) -> Result<Self> {
         let classes = graph.equivalence_classes();
-        let mut program = Self::compile_steps(plan, query, graph, &classes)?;
+        let fetches = FetchSteps::compile_with_classes(plan, query, graph, &classes)?;
         let rewrite =
-            |e: &BoundExpr| rewrite_with_classes(e, query, graph, &classes, &program.schema);
+            |e: &BoundExpr| rewrite_with_classes(e, query, graph, &classes, &fetches.schema);
         let residual = plan
             .residual_predicates
             .iter()
@@ -244,28 +251,29 @@ impl FetchProgram {
                     .collect::<Result<_>>()?,
             }
         };
-        program.finalize = Some(Finalize {
+        let finalize = Finalize {
             residual,
             shape,
             order_by: query.order_by.clone(),
             limit: query.limit,
-        });
-        Ok(program)
+        };
+        Ok(FetchProgram { fetches, finalize })
     }
+}
 
-    /// Compile only the fetch steps: the program produces the context
-    /// relation and nothing else.  Partially bounded plans use this — their
-    /// answer stage runs on the conventional engine and may read columns
-    /// the context lacks.
-    pub(crate) fn compile_fetches(
+impl FetchSteps {
+    /// Compile the fetch steps of `plan`: resolve key types and context
+    /// positions, cast and canonicalize constant keys, build each step's
+    /// schema, and rewrite the post-filters to context positions.
+    pub(crate) fn compile(
         plan: &BoundedPlan,
         query: &BoundQuery,
         graph: &QueryGraph,
     ) -> Result<Self> {
-        Self::compile_steps(plan, query, graph, &graph.equivalence_classes())
+        Self::compile_with_classes(plan, query, graph, &graph.equivalence_classes())
     }
 
-    fn compile_steps(
+    fn compile_with_classes(
         plan: &BoundedPlan,
         query: &BoundQuery,
         graph: &QueryGraph,
@@ -300,20 +308,17 @@ impl FetchProgram {
                     }
                 });
             }
-            let width = schema.len();
             let mut fields = schema.fields().to_vec();
             for col in fetch.constraint.x.iter().chain(&fetch.constraint.y) {
                 let ty = column_type(col, "column")?;
                 fields.push(Field::base(fetch.alias.clone(), col.clone(), ty));
             }
             schema = Schema::new(fields);
-            let mut post_filters = Vec::with_capacity(fetch.post_filters.len());
-            for p in &fetch.post_filters {
-                let filter = rewrite_with_classes(p, query, graph, classes, &schema)?;
-                if !holds_on_every_key(&filter, width, &keys) {
-                    post_filters.push(filter);
-                }
-            }
+            let post_filters = fetch
+                .post_filters
+                .iter()
+                .map(|p| rewrite_with_classes(p, query, graph, classes, &schema))
+                .collect::<Result<_>>()?;
             let constraint_id = fetch.constraint.id();
             steps.push(CompiledFetch {
                 constraint: fetch.constraint.clone(),
@@ -323,36 +328,8 @@ impl FetchProgram {
                 post_filters,
             });
         }
-        Ok(FetchProgram {
-            steps,
-            schema,
-            finalize: None,
-        })
+        Ok(FetchSteps { steps, schema })
     }
-}
-
-/// Whether `filter` is true for every row a step with these `keys` can
-/// produce, so it need not run: it reads only the step's key columns
-/// (positions `width..width + keys.len()`), each fixed to one constant, and
-/// evaluates to true on those constants.  Typically the planner's
-/// `x = constant` check on a key the fetch was looked up by.  A filter that
-/// evaluates to false or fails stays, so it rejects rows or raises its
-/// error exactly when it would have.
-fn holds_on_every_key(filter: &BoundExpr, width: usize, keys: &[KeyPart]) -> bool {
-    let mut constants = HashMap::new();
-    for col in filter.referenced_columns() {
-        match col.checked_sub(width).and_then(|i| keys.get(i)) {
-            Some(KeyPart::Options(options)) if options.len() == 1 => {
-                constants.insert(col, BoundExpr::Literal(options[0].clone()));
-            }
-            _ => return false,
-        }
-    }
-    let empty: &[Value] = &[];
-    matches!(
-        beas_sql::evaluate_predicate(&substitute(filter, &constants), empty),
-        Ok(true)
-    )
 }
 
 /// The key options of constant sources: NULL and NaN never equal anything

@@ -7,7 +7,7 @@ use crate::plan::{BoundedPlan, KeySource, PlannedFetch};
 use beas_common::{BeasError, Result};
 use beas_sql::ast::BinaryOperator;
 use beas_sql::{BoundExpr, BoundQuery};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Generate a bounded plan from a coverage result.
 ///
@@ -48,8 +48,6 @@ pub fn generate_plan_for_steps(
         .map(|v| v.len() as u64)
         .product::<u64>()
         .max(1);
-    let mut ctx_bound: u64 = seed_bound;
-    let mut total_bound: u64 = 0;
 
     // Candidate steps from the checker, optionally restricted to a subset of
     // atoms (partially bounded planning).
@@ -134,19 +132,24 @@ pub fn generate_plan_for_steps(
             }
         }
 
-        // Bound deduction: |keys| ≤ ctx_bound, each key fetches ≤ N tuples.
-        let fetch_bound = ctx_bound.saturating_mul(step.constraint.n);
-        total_bound = total_bound.saturating_add(fetch_bound);
-        ctx_bound = fetch_bound;
-
         fetches.push(PlannedFetch {
             atom: step.atom,
             alias: atom.alias.clone(),
             constraint: step.constraint.clone(),
             keys,
-            bound: fetch_bound,
+            bound: 0,
             post_filters,
         });
+    }
+
+    let mut fetches = prune_redundant_fetches(fetches, graph, &classes);
+    // Bound deduction: |keys| ≤ ctx_bound, each key fetches ≤ N tuples.
+    let mut ctx_bound: u64 = seed_bound;
+    let mut total_bound: u64 = 0;
+    for fetch in &mut fetches {
+        fetch.bound = ctx_bound.saturating_mul(fetch.constraint.n);
+        total_bound = total_bound.saturating_add(fetch.bound);
+        ctx_bound = fetch.bound;
     }
 
     // Residual predicates: only those whose columns are all in the context
@@ -196,6 +199,91 @@ pub fn generate_plan_for_steps(
         constraints_used,
         finalization: describe_finalization(query),
     })
+}
+
+/// Drop the fetch steps that add nothing to the answer, once the greedy
+/// order and every key source are fixed.
+///
+/// The checker's fixpoint fires every constraint that yields a new term,
+/// including terms the query never reads: TLC Q4/Q10 fetch `customer` a
+/// second time through `pnum → name, …` after `(region, segment) → pnum,
+/// city, …` has supplied every `c` attribute they use.  A step is dropped
+/// only when both hold:
+///
+/// * every key attribute is read from the atom's *own* context column, and
+///   one earlier step first fetched all of them (context columns resolve to
+///   the first step that fetched them).  The key is then a projection of
+///   one tuple of the relation, so the lookup finds at least that tuple: it
+///   filters nothing and enforces no join.  A step keyed by a constant or by
+///   another atom's column is never dropped — its lookup may be the only
+///   check of a selection or of a join;
+/// * none of its new terms (attributes no earlier step fetched for the atom)
+///   is used: not by an output, predicate, group-by or aggregate argument
+///   (the atom's needed attributes, judged per equivalence class so a term
+///   read through an equated column counts), and not as a key by a later
+///   kept step.
+///
+/// The dropped step's post-filters are redundant: a check on a column an
+/// earlier step fetched reads that step's copy and runs there too, and a
+/// selection on a new term would make the term needed.  What changes is
+/// only how many unused `Y` values a context row is repeated with, which
+/// set-semantics answers and the distinct-safe aggregates the checker
+/// admits do not see.  Walking backwards lets a dropped step's keys stop
+/// counting as uses of the steps before it.
+fn prune_redundant_fetches(
+    fetches: Vec<PlannedFetch>,
+    graph: &QueryGraph,
+    classes: &[BTreeSet<Term>],
+) -> Vec<PlannedFetch> {
+    let mut first: BTreeMap<Term, usize> = BTreeMap::new();
+    for (i, f) in fetches.iter().enumerate() {
+        for col in f.constraint.x.iter().chain(&f.constraint.y) {
+            first.entry((f.atom, col.clone())).or_insert(i);
+        }
+    }
+    let mut used: BTreeSet<Term> = graph
+        .atoms
+        .iter()
+        .flat_map(|a| a.needed.iter().map(move |c| (a.idx, c.clone())))
+        .collect();
+    let is_used = |t: &Term, used: &BTreeSet<Term>| match classes.iter().find(|c| c.contains(t)) {
+        Some(class) => class.iter().any(|m| used.contains(m)),
+        None => used.contains(t),
+    };
+    let mut keep = vec![true; fetches.len()];
+    for (i, f) in fetches.iter().enumerate().rev() {
+        let sources: Option<BTreeSet<usize>> = f
+            .keys
+            .iter()
+            .zip(&f.constraint.x)
+            .map(|(key, x)| match key {
+                KeySource::Ctx(atom, col) if *atom == f.atom && col == x => {
+                    first.get(&(f.atom, x.clone())).copied()
+                }
+                _ => None,
+            })
+            .collect();
+        let restates_one_tuple =
+            matches!(sources, Some(s) if s.len() == 1 && s.iter().all(|&j| j < i));
+        let adds_used_term = f.constraint.y.iter().any(|y| {
+            let term = (f.atom, y.clone());
+            first.get(&term) == Some(&i) && is_used(&term, &used)
+        });
+        if restates_one_tuple && !adds_used_term {
+            keep[i] = false;
+        } else {
+            for key in &f.keys {
+                if let KeySource::Ctx(atom, col) = key {
+                    used.insert((*atom, col.clone()));
+                }
+            }
+        }
+    }
+    fetches
+        .into_iter()
+        .zip(keep)
+        .filter_map(|(f, k)| k.then_some(f))
+        .collect()
 }
 
 fn resolve_key_source(
@@ -509,6 +597,87 @@ mod tests {
                 .count(),
             2
         );
+    }
+
+    #[test]
+    fn a_join_enforcing_second_fetch_of_an_atom_is_kept() {
+        // The checker fires customer (region, segment) -> pnum, … then
+        // pnum -> name, … and business last; greedy ordering runs business
+        // first (n = 2000), so pnum -> … is keyed by business.pnum and is the
+        // only check of c.pnum = b.pnum.  It must survive pruning even
+        // though it adds no customer attribute the query reads.
+        let plan = tlc_plan(
+            "SELECT b.name FROM customer c, business b \
+             WHERE c.region = 'east' AND c.segment = 'vip' \
+             AND b.type = 'x' AND b.region = 'east' AND c.pnum = b.pnum",
+        );
+        let steps: Vec<(&str, Vec<&str>, Vec<String>)> = plan
+            .fetches
+            .iter()
+            .map(|f| {
+                let x = f.constraint.x.iter().map(String::as_str).collect();
+                let keys = f.keys.iter().map(|k| k.to_string()).collect();
+                (f.constraint.table.as_str(), x, keys)
+            })
+            .collect();
+        assert_eq!(
+            steps,
+            vec![
+                (
+                    "business",
+                    vec!["type", "region"],
+                    vec!["'x'".into(), "'east'".into()]
+                ),
+                ("customer", vec!["pnum"], vec!["T.#1.pnum".into()]),
+                (
+                    "customer",
+                    vec!["region", "segment"],
+                    vec!["'east'".into(), "'vip'".into()]
+                ),
+            ]
+        );
+        assert_eq!(plan.total_bound, 2000 + 2000 + 2000 * 50_000);
+    }
+
+    #[test]
+    fn second_fetch_of_an_atom_is_pruned_only_when_it_adds_nothing() {
+        // (pnum -> recnum) fetches the atom; a second constraint keyed by
+        // recnum alone restates a fetched column and adds only `region`,
+        // which the query never reads: pruned, and its bound with it.
+        let restating = AccessSchema::from_constraints(vec![
+            AccessConstraint::new("call", &["pnum"], &["recnum"], 10).unwrap(),
+            AccessConstraint::new("call", &["recnum"], &["region"], 5).unwrap(),
+        ]);
+        let plan = plan_for("select recnum from call where pnum = 'x'", &restating).unwrap();
+        assert_eq!(plan.fetches.len(), 1);
+        assert_eq!(plan.fetches[0].constraint.x, vec!["pnum"]);
+        assert_eq!(plan.total_bound, 10);
+        assert_eq!(plan.constraints_used, 1);
+        // reading `region` keeps the second step
+        let plan = plan_for("select region from call where pnum = 'x'", &restating).unwrap();
+        assert_eq!(plan.fetches.len(), 2);
+        assert_eq!(plan.total_bound, 10 + 50);
+        // a key attribute no earlier step fetched (`date`, a constant) makes
+        // the second lookup a real filter on the atom: kept
+        let filtering = AccessSchema::from_constraints(vec![
+            AccessConstraint::new("call", &["pnum"], &["recnum"], 10).unwrap(),
+            AccessConstraint::new("call", &["recnum", "date"], &["region"], 5).unwrap(),
+        ]);
+        let plan = plan_for(
+            "select recnum from call where pnum = 'x' and date = '2016-07-04'",
+            &filtering,
+        )
+        .unwrap();
+        assert_eq!(plan.fetches.len(), 2);
+        // a key whose attributes two different steps first fetched is not
+        // known to be one tuple's projection: kept
+        let split = AccessSchema::from_constraints(vec![
+            AccessConstraint::new("call", &["recnum"], &["pnum"], 10).unwrap(),
+            AccessConstraint::new("call", &["pnum"], &["date"], 3).unwrap(),
+            AccessConstraint::new("call", &["pnum", "date"], &["region"], 5).unwrap(),
+        ]);
+        let plan = plan_for("select date from call where recnum = 'r'", &split).unwrap();
+        assert_eq!(plan.fetches.len(), 3, "{}", plan.explain());
     }
 
     #[test]

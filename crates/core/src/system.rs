@@ -109,25 +109,36 @@ pub struct PreparedQuery {
     query: BoundQuery,
     graph: QueryGraph,
     coverage: CoverageResult,
-    /// The bounded plan when the query is covered.
-    plan: Option<BoundedPlan>,
-    /// The plan compiled once, at preparation; execution runs this.  A
-    /// compile error is kept and raised when the query executes, so
-    /// preparing (and the checks served from it) behaves as for any other
-    /// covered query.
-    program: Option<Result<FetchProgram>>,
+    /// The bounded plan and its compiled program, when the query is
+    /// covered.
+    bounded: Option<CompiledPlan>,
+}
+
+/// A covered query's bounded plan, compiled once at preparation.
+#[derive(Debug)]
+struct CompiledPlan {
+    plan: BoundedPlan,
+    /// What execution runs.  A compile error is kept and raised when the
+    /// query executes, so preparing (and the checks served from it) behaves
+    /// as for any other covered query.
+    program: Result<FetchProgram>,
 }
 
 impl PreparedQuery {
     /// Whether the registered access schema covers the query (a bounded
     /// plan exists).
     pub fn covered(&self) -> bool {
-        self.plan.is_some()
+        self.bounded.is_some()
     }
 
     /// The deduced bound on tuples accessed, when covered.
     pub fn deduced_bound(&self) -> Option<u64> {
-        self.plan.as_ref().map(|p| p.total_bound)
+        self.plan().map(|p| p.total_bound)
+    }
+
+    /// The bounded plan, when covered.
+    fn plan(&self) -> Option<&BoundedPlan> {
+        self.bounded.as_ref().map(|b| &b.plan)
     }
 
     /// The tables the query reads, each pinned at the per-table write
@@ -508,22 +519,20 @@ impl BeasSystem {
     fn prepare_bound(&self, query: BoundQuery) -> Result<PreparedQuery> {
         let graph = QueryGraph::build(&query)?;
         let coverage = Checker::new(&self.schema).check(&query, &graph);
-        let plan = if coverage.covered {
-            Some(generate_bounded_plan(&query, &graph, &coverage)?)
+        let bounded = if coverage.covered {
+            let plan = generate_bounded_plan(&query, &graph, &coverage)?;
+            let program = FetchProgram::compile(&plan, &query, &graph);
+            Some(CompiledPlan { plan, program })
         } else {
             None
         };
-        let program = plan
-            .as_ref()
-            .map(|plan| FetchProgram::compile(plan, &query, &graph));
         Ok(PreparedQuery {
             generation: self.db.generation(),
             read_set: read_set_of(&self.db, &query),
             query,
             graph,
             coverage,
-            plan,
-            program,
+            bounded,
         })
     }
 
@@ -544,7 +553,7 @@ impl BeasSystem {
     /// bounded plan and its deduced bound.  Served from the plan cache.
     pub fn check(&self, sql: &str) -> Result<CheckReport> {
         let prepared = self.prepare(sql)?;
-        Ok(match &prepared.plan {
+        Ok(match prepared.plan() {
             Some(plan) => CheckReport {
                 covered: true,
                 deduced_bound: Some(plan.total_bound),
@@ -564,7 +573,7 @@ impl BeasSystem {
     /// when it is not — the admission-control fast path: cache-served and,
     /// unlike [`BeasSystem::check`], clones no plan.
     pub fn deduced_bound(&self, sql: &str) -> Result<Option<u64>> {
-        Ok(self.prepare(sql)?.plan.as_ref().map(|p| p.total_bound))
+        Ok(self.prepare(sql)?.deduced_bound())
     }
 
     /// Estimated tuples a conventional (or partially bounded) evaluation of
@@ -748,13 +757,8 @@ impl BeasSystem {
         let query = &prepared.query;
         let graph = &prepared.graph;
         let coverage = &prepared.coverage;
-        if let Some(plan) = &prepared.plan {
-            let program = prepared
-                .program
-                .as_ref()
-                .expect("a prepared query with a plan holds its compiled program")
-                .as_ref()
-                .map_err(Clone::clone)?;
+        if let Some(CompiledPlan { plan, program }) = &prepared.bounded {
+            let program = program.as_ref().map_err(Clone::clone)?;
             let result = execute_program(program, &self.indexes, self.fetch_config, quota)?;
             return Ok(ExecutionOutcome {
                 rows: result.rows,
@@ -978,7 +982,7 @@ impl BeasSystem {
         // Covered queries reuse the cached full plan; otherwise approximate
         // over the covered portion.
         let generated;
-        let plan = match &prepared.plan {
+        let plan = match prepared.plan() {
             Some(plan) => plan,
             None => {
                 generated = crate::planner::generate_plan_for_steps(query, graph, coverage, None)?;
@@ -1069,7 +1073,6 @@ impl BeasSystem {
     /// 1. the cache respects its capacity bound,
     /// 2. cache keys are normalized SQL (normalization is idempotent),
     /// 3. an entry caches a plan exactly when its coverage check passed,
-    ///    and a compiled program exactly when it caches a plan,
     /// 4. a *live* entry — every read-set table still at the generation it
     ///    was prepared against — re-derives the identical read set from its
     ///    bound query, so a cache hit can never serve a plan whose table
@@ -1101,14 +1104,9 @@ impl BeasSystem {
             if *key != normalize_sql(key) {
                 return fail(format!("cache key {key:?} is not normalized"));
             }
-            if entry.plan.is_some() != entry.coverage.covered {
+            if entry.covered() != entry.coverage.covered {
                 return fail(format!(
                     "entry {key:?} caches a plan but its coverage check disagrees"
-                ));
-            }
-            if entry.program.is_some() != entry.plan.is_some() {
-                return fail(format!(
-                    "entry {key:?} caches a plan without its compiled program, or the reverse"
                 ));
             }
             let live = entry

@@ -9,7 +9,6 @@
 
 use crate::ast::BinaryOperator;
 use beas_common::{BeasError, DataType, Result, Value, ValueRow};
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::fmt;
@@ -224,14 +223,16 @@ impl fmt::Display for BoundExpr {
 /// plain `Vec<Value>` rows, without materializing either.
 pub fn evaluate<R: ValueRow + ?Sized>(expr: &BoundExpr, row: &R) -> Result<Value> {
     match expr {
-        BoundExpr::Column(i) => row
-            .value_at(*i)
-            .cloned()
-            .ok_or_else(|| column_out_of_bounds(*i, row)),
+        BoundExpr::Column(i) => row.value_at(*i).cloned().ok_or_else(|| {
+            BeasError::execution(format!(
+                "column #{i} out of bounds for row of arity {}",
+                row.arity()
+            ))
+        }),
         BoundExpr::Literal(v) => Ok(v.clone()),
         BoundExpr::Binary { op, left, right } => {
-            let l = operand(left, row)?;
-            let r = operand(right, row)?;
+            let l = evaluate(left, row)?;
+            let r = evaluate(right, row)?;
             eval_binary(*op, &l, &r)
         }
         BoundExpr::Not(e) => {
@@ -258,7 +259,7 @@ pub fn evaluate<R: ValueRow + ?Sized>(expr: &BoundExpr, row: &R) -> Result<Value
             }
         }
         BoundExpr::IsNull { expr, negated } => {
-            let v = operand(expr, row)?;
+            let v = evaluate(expr, row)?;
             Ok(Value::Bool(v.is_null() != *negated))
         }
         BoundExpr::InList {
@@ -266,13 +267,13 @@ pub fn evaluate<R: ValueRow + ?Sized>(expr: &BoundExpr, row: &R) -> Result<Value
             list,
             negated,
         } => {
-            let v = operand(expr, row)?;
+            let v = evaluate(expr, row)?;
             if v.is_null() {
                 return Ok(Value::Null);
             }
             let mut saw_null = false;
             for alt in list {
-                let a = operand(alt, row)?;
+                let a = evaluate(alt, row)?;
                 match v.sql_eq(&a) {
                     Some(true) => return Ok(Value::Bool(!*negated)),
                     Some(false) => {}
@@ -291,9 +292,9 @@ pub fn evaluate<R: ValueRow + ?Sized>(expr: &BoundExpr, row: &R) -> Result<Value
             high,
             negated,
         } => {
-            let v = operand(expr, row)?;
-            let lo = operand(low, row)?;
-            let hi = operand(high, row)?;
+            let v = evaluate(expr, row)?;
+            let lo = evaluate(low, row)?;
+            let hi = evaluate(high, row)?;
             match (v.sql_cmp(&lo), v.sql_cmp(&hi)) {
                 (Some(a), Some(b)) => {
                     let within = a != Ordering::Less && b != Ordering::Greater;
@@ -307,8 +308,8 @@ pub fn evaluate<R: ValueRow + ?Sized>(expr: &BoundExpr, row: &R) -> Result<Value
             pattern,
             negated,
         } => {
-            let v = operand(expr, row)?;
-            let p = operand(pattern, row)?;
+            let v = evaluate(expr, row)?;
+            let p = evaluate(pattern, row)?;
             if v.is_null() || p.is_null() {
                 return Ok(Value::Null);
             }
@@ -316,27 +317,6 @@ pub fn evaluate<R: ValueRow + ?Sized>(expr: &BoundExpr, row: &R) -> Result<Value
             Ok(Value::Bool(matched != *negated))
         }
     }
-}
-
-/// Evaluate an operand that is only read: column and literal values are
-/// borrowed instead of cloned (a string comparison would otherwise copy
-/// both strings for every row).  Errors are [`evaluate`]'s.
-fn operand<'v, R: ValueRow + ?Sized>(expr: &'v BoundExpr, row: &'v R) -> Result<Cow<'v, Value>> {
-    match expr {
-        BoundExpr::Column(i) => row
-            .value_at(*i)
-            .map(Cow::Borrowed)
-            .ok_or_else(|| column_out_of_bounds(*i, row)),
-        BoundExpr::Literal(v) => Ok(Cow::Borrowed(v)),
-        _ => evaluate(expr, row).map(Cow::Owned),
-    }
-}
-
-fn column_out_of_bounds<R: ValueRow + ?Sized>(i: usize, row: &R) -> BeasError {
-    BeasError::execution(format!(
-        "column #{i} out of bounds for row of arity {}",
-        row.arity()
-    ))
 }
 
 /// Evaluate a predicate expression, treating NULL (unknown) as `false`.

@@ -418,3 +418,62 @@ fn cached_program_survives_an_unrelated_write() {
         fetch_steps(&from_fresh.metrics)
     );
 }
+
+/// `customer(pnum, name, region, segment)` and `business(pnum, name, type,
+/// region)`: of the three `x`/`east` businesses only p1 belongs to an
+/// `east`/`vip` customer.
+fn customer_business_system(constraints: Vec<AccessConstraint>) -> BeasSystem {
+    let mut db = Database::new();
+    let str_table = |name: &str, cols: &[&str]| {
+        TableSchema::new(
+            name,
+            cols.iter()
+                .map(|c| beas::common::ColumnDef::new(*c, DataType::Str))
+                .collect(),
+        )
+        .unwrap()
+    };
+    db.create_table(str_table(
+        "customer",
+        &["pnum", "name", "region", "segment"],
+    ))
+    .unwrap();
+    db.create_table(str_table("business", &["pnum", "name", "type", "region"]))
+        .unwrap();
+    let strs = |vs: &[&str]| vs.iter().map(|v| Value::str(*v)).collect::<Row>();
+    for c in [
+        ["p1", "ann", "east", "vip"],
+        ["p2", "bob", "west", "vip"],
+        ["p4", "dee", "east", "vip"],
+    ] {
+        db.insert("customer", strs(&c)).unwrap();
+    }
+    for b in [
+        ["p1", "one", "x", "east"],
+        ["p2", "two", "x", "east"],
+        ["p3", "three", "x", "east"],
+    ] {
+        db.insert("business", strs(&b)).unwrap();
+    }
+    BeasSystem::with_schema(db, AccessSchema::from_constraints(constraints)).unwrap()
+}
+
+#[test]
+fn a_second_fetch_that_enforces_a_join_is_not_pruned() {
+    // customer is fetched twice: by (region, segment) and by pnum.  The
+    // plan runs business first and keys the pnum fetch by b.pnum — the only
+    // check of c.pnum = b.pnum — so it stays although it adds no customer
+    // attribute the query reads.
+    let system = customer_business_system(vec![
+        AccessConstraint::new("customer", &["region", "segment"], &["pnum"], 50).unwrap(),
+        AccessConstraint::new("customer", &["pnum"], &["name", "region", "segment"], 1).unwrap(),
+        AccessConstraint::new("business", &["type", "region"], &["pnum", "name"], 20).unwrap(),
+    ]);
+    let outcome = bounded_matches_baseline(
+        &system,
+        "select b.name from customer c, business b \
+         where c.region = 'east' and c.segment = 'vip' \
+         and b.type = 'x' and b.region = 'east' and c.pnum = b.pnum",
+    );
+    assert_eq!(outcome.rows, vec![vec![Value::str("one")]]);
+}
