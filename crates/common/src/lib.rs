@@ -36,7 +36,7 @@ pub use morsel::{
 pub use quota::{QuotaTracker, ResourceQuota};
 pub use rowref::{dedupe, RowRef, RowSeg, ValueRow};
 pub use schema::{ColumnDef, ColumnRef, Field, Schema, TableSchema};
-pub use stream::{MapStream, RowStream, TakeStream, VecStream};
+pub use stream::RowStream;
 pub use tuple::{Row, Tuple};
 pub use types::DataType;
 pub use value::Value;

@@ -10,21 +10,10 @@
 //! `LIMIT 10` under a filter reads base rows only until ten survivors have
 //! been found, instead of scanning and buffering the whole table.
 //!
-//! The trait is deliberately tiny (`next()` only).  This module also
-//! carries generic adapters for library consumers (the engine's operators
-//! implement `RowStream` directly because each carries its own metrics
-//! counters, and the bounded executor's fetch join is a plain loop over
-//! key ids):
-//!
-//! * [`VecStream`] — a stream over already-materialized rows (the boundary
-//!   between a blocking operator, e.g. sort or aggregation, and the pipeline
-//!   downstream of it);
-//! * [`MapStream`] — transform each row through a fallible function
-//!   (projection);
-//! * [`TakeStream`] — yield at most `k` rows, then stop pulling.
-//!
-//! Engine-specific operators (scans with metrics, joins, top-k sorts)
-//! implement [`RowStream`] directly in their own crates.
+//! The trait is deliberately tiny (`next()` only).  Operators implement it
+//! directly in their own crates — the engine's because each carries its own
+//! metrics counters; the bounded executor's fetch join is a plain loop over
+//! key ids.
 
 use crate::error::Result;
 use crate::rowref::RowRef;
@@ -58,168 +47,31 @@ impl<'a, S: RowStream<'a> + ?Sized> RowStream<'a> for Box<S> {
     }
 }
 
-/// A stream over rows that are already materialized.
-#[derive(Debug)]
-pub struct VecStream<'a> {
-    iter: std::vec::IntoIter<RowRef<'a>>,
-}
-
-impl<'a> VecStream<'a> {
-    /// Stream the rows of `rows` in order.
-    pub fn new(rows: Vec<RowRef<'a>>) -> Self {
-        VecStream {
-            iter: rows.into_iter(),
-        }
-    }
-}
-
-impl<'a> RowStream<'a> for VecStream<'a> {
-    fn next(&mut self) -> Result<Option<RowRef<'a>>> {
-        Ok(self.iter.next())
-    }
-}
-
-/// Transform every row through a fallible function.
-pub struct MapStream<'a, S, F>
-where
-    S: RowStream<'a>,
-    F: FnMut(RowRef<'a>) -> Result<RowRef<'a>>,
-{
-    input: S,
-    f: F,
-    _marker: std::marker::PhantomData<&'a ()>,
-}
-
-impl<'a, S, F> MapStream<'a, S, F>
-where
-    S: RowStream<'a>,
-    F: FnMut(RowRef<'a>) -> Result<RowRef<'a>>,
-{
-    /// Map `input` through `f`.
-    pub fn new(input: S, f: F) -> Self {
-        MapStream {
-            input,
-            f,
-            _marker: std::marker::PhantomData,
-        }
-    }
-}
-
-impl<'a, S, F> RowStream<'a> for MapStream<'a, S, F>
-where
-    S: RowStream<'a>,
-    F: FnMut(RowRef<'a>) -> Result<RowRef<'a>>,
-{
-    fn next(&mut self) -> Result<Option<RowRef<'a>>> {
-        match self.input.next()? {
-            Some(row) => Ok(Some((self.f)(row)?)),
-            None => Ok(None),
-        }
-    }
-}
-
-/// Yield at most `k` rows, then stop pulling from the input entirely.
-pub struct TakeStream<'a, S: RowStream<'a>> {
-    input: S,
-    remaining: usize,
-    _marker: std::marker::PhantomData<&'a ()>,
-}
-
-impl<'a, S: RowStream<'a>> TakeStream<'a, S> {
-    /// Cap `input` at `k` rows.
-    pub fn new(input: S, k: usize) -> Self {
-        TakeStream {
-            input,
-            remaining: k,
-            _marker: std::marker::PhantomData,
-        }
-    }
-}
-
-impl<'a, S: RowStream<'a>> RowStream<'a> for TakeStream<'a, S> {
-    fn next(&mut self) -> Result<Option<RowRef<'a>>> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        match self.input.next()? {
-            Some(row) => {
-                self.remaining -= 1;
-                Ok(Some(row))
-            }
-            None => {
-                self.remaining = 0;
-                Ok(None)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::value::Value;
 
-    fn row(x: i64) -> RowRef<'static> {
-        RowRef::owned(vec![Value::Int(x)])
+    /// Counts up from 1 and stops after `last`.
+    struct Counter {
+        at: i64,
+        last: i64,
     }
 
-    fn ints(rows: &[RowRef<'_>]) -> Vec<i64> {
-        rows.iter()
-            .map(|r| match r.get(0) {
-                Some(Value::Int(i)) => *i,
-                other => panic!("unexpected value {other:?}"),
-            })
-            .collect()
-    }
-
-    #[test]
-    fn vec_stream_yields_in_order() {
-        let mut s = VecStream::new(vec![row(1), row(2), row(3)]);
-        let out = s.collect_rows().unwrap();
-        assert_eq!(ints(&out), vec![1, 2, 3]);
-        assert!(s.next().unwrap().is_none());
-    }
-
-    #[test]
-    fn map_stream_transforms_rows() {
-        let s = VecStream::new(vec![row(1), row(2)]);
-        let mut m = MapStream::new(s, |r| {
-            let v = match r.get(0) {
-                Some(Value::Int(i)) => *i * 10,
-                _ => unreachable!(),
-            };
-            Ok(RowRef::owned(vec![Value::Int(v)]))
-        });
-        assert_eq!(ints(&m.collect_rows().unwrap()), vec![10, 20]);
-    }
-
-    #[test]
-    fn take_stream_stops_pulling_at_k() {
-        // A stream that panics past position 2 proves take(2) never
-        // over-pulls.
-        struct Fused {
-            at: usize,
-        }
-        impl<'a> RowStream<'a> for Fused {
-            fn next(&mut self) -> Result<Option<RowRef<'a>>> {
-                self.at += 1;
-                assert!(self.at <= 2, "pulled past the take cap");
-                Ok(Some(RowRef::owned(vec![Value::Int(self.at as i64)])))
+    impl<'a> RowStream<'a> for Counter {
+        fn next(&mut self) -> Result<Option<RowRef<'a>>> {
+            if self.at == self.last {
+                return Ok(None);
             }
+            self.at += 1;
+            Ok(Some(RowRef::owned(vec![Value::Int(self.at)])))
         }
-        let mut t = TakeStream::new(Fused { at: 0 }, 2);
-        assert_eq!(ints(&t.collect_rows().unwrap()), vec![1, 2]);
-        assert!(t.next().unwrap().is_none());
-
-        // take(0) never pulls at all
-        let mut t0 = TakeStream::new(Fused { at: 10 }, 0);
-        assert!(t0.next().unwrap().is_none());
     }
 
     #[test]
     fn boxed_streams_are_streams() {
-        let mut s: Box<dyn RowStream<'static>> = Box::new(VecStream::new(vec![row(7)]));
-        assert_eq!(ints(&[s.next().unwrap().unwrap()]), vec![7]);
+        let mut s: Box<dyn RowStream<'static>> = Box::new(Counter { at: 0, last: 1 });
+        assert_eq!(s.next().unwrap().unwrap().get(0), Some(&Value::Int(1)));
         assert!(s.next().unwrap().is_none());
     }
 }

@@ -1,31 +1,31 @@
 //! Resource-bounded approximation.
 //!
-//! When a user can only afford a data-access budget smaller than a bounded
-//! plan's deduced bound (or the query is not boundedly evaluable at all),
-//! BEAS "offers resource bounded approximation ... which guarantees a
-//! deterministic accuracy lower bound on approximate answers computed, and
-//! accesses a bounded number of tuples in the entire process" (§3).  The
-//! details are deferred to a later publication; the scheme implemented here
-//! is the natural instantiation over bounded plans:
+//! When a user can only afford a data-access budget smaller than a covered
+//! query's deduced bound, BEAS "offers resource bounded approximation ...
+//! which guarantees a deterministic accuracy lower bound on approximate
+//! answers computed, and accesses a bounded number of tuples in the entire
+//! process" (§3).  The details are deferred to a later publication; the
+//! scheme implemented here is the exact bounded plan with a smaller budget:
 //!
-//! * execute the bounded plan, but cap the number of distinct keys each fetch
-//!   step may look up so that the *worst-case* data access stays within the
-//!   budget;
+//! * run the query's compiled program through the bounded executor, but
+//!   let each fetch step look up only its first distinct keys (in
+//!   first-seen order), as many as the `KeyCap` allows, so that the
+//!   *worst-case* data access stays within the budget;
 //! * every answer produced is a genuine answer (soundness — answers come from
 //!   real fetched tuples);
 //! * the reported `coverage` is the product of the per-step fractions of keys
 //!   processed, a deterministic lower bound on the fraction of the exact
 //!   answer set that was explored.
+//!
+//! A query the access schema does not cover has no bounded plan, so it
+//! cannot be approximated: fetching only its covered atoms would return
+//! answers no uncovered atom was checked against.
 
-use crate::executor::retain_matching;
-use crate::graph::QueryGraph;
-use crate::plan::{BoundedPlan, KeySource};
+use crate::executor::{execute_program, FetchConfig};
+use crate::plan::FetchProgram;
 use beas_access::AccessIndexes;
-use beas_common::{BeasError, Result, Row, Value};
-use beas_engine::{aggregate, ExecutionMetrics};
-use beas_obs::clock;
-use beas_sql::{evaluate, BoundExpr, BoundQuery};
-use std::collections::{HashMap, HashSet};
+use beas_common::{BeasError, QuotaTracker, Result, Row, Schema};
+use beas_engine::ExecutionMetrics;
 
 /// The result of a resource-bounded approximate execution.
 #[derive(Debug, Clone)]
@@ -33,7 +33,7 @@ pub struct ApproximateExecution {
     /// The (sound) answers produced within the budget.
     pub rows: Vec<Row>,
     /// Output schema of the answer rows.
-    pub schema: beas_common::Schema,
+    pub schema: Schema,
     /// Tuples fetched through constraint indices (guaranteed ≤ budget).
     pub tuples_accessed: u64,
     /// Deterministic lower bound on the fraction of the exact answer set
@@ -43,256 +43,116 @@ pub struct ApproximateExecution {
     pub metrics: ExecutionMetrics,
 }
 
-/// Execute a bounded plan under a hard budget on fetched tuples.
-pub fn execute_with_budget(
-    plan: &BoundedPlan,
-    query: &BoundQuery,
-    graph: &QueryGraph,
+/// Run a compiled bounded program under a hard budget on fetched tuples.
+/// The optional quota is checkpointed and charged per fetch step, exactly
+/// as on the exact bounded path.
+pub(crate) fn execute_with_budget(
+    program: &FetchProgram,
+    schema: &Schema,
     indexes: &AccessIndexes,
     budget: u64,
+    quota: Option<&QuotaTracker>,
 ) -> Result<ApproximateExecution> {
     if budget == 0 {
         return Err(BeasError::invalid_argument(
             "approximation budget must be positive",
         ));
     }
-    let start = clock::now();
-    let mut metrics = ExecutionMetrics::new();
-    let mut schema = beas_common::Schema::empty();
-    let mut rows: Vec<Row> = vec![vec![]];
-    let mut tuples_accessed: u64 = 0;
-    let mut coverage = 1.0f64;
-    // Split the budget evenly across the fetch steps; each step may also use
-    // budget left over by earlier steps.
-    let per_step = (budget / plan.fetches.len().max(1) as u64).max(1);
-    let mut remaining_budget = budget;
-
-    for (step_no, fetch) in plan.fetches.iter().enumerate() {
-        let t = clock::now();
-        let index = indexes.for_constraint(&fetch.constraint).ok_or_else(|| {
-            BeasError::execution(format!("no index for constraint {}", fetch.constraint))
-        })?;
-        let atom_schema = &query.tables[fetch.atom].schema;
-        let key_types: Vec<beas_common::DataType> = fetch
-            .constraint
-            .x
-            .iter()
-            .map(|c| {
-                atom_schema
-                    .column(c)
-                    .map(|col| col.data_type)
-                    .unwrap_or(beas_common::DataType::Str)
-            })
-            .collect();
-
-        // Resolve ctx key positions.
-        let mut ctx_key_indices: Vec<Option<usize>> = Vec::new();
-        for k in &fetch.keys {
-            match k {
-                KeySource::Ctx(atom, col) => {
-                    let alias = &query.tables[*atom].alias;
-                    ctx_key_indices.push(schema.index_of_origin(alias, col));
-                }
-                _ => ctx_key_indices.push(None),
-            }
-        }
-
-        // Distinct keys in first-seen order.
-        let mut distinct_keys: Vec<Vec<Value>> = Vec::new();
-        let mut seen: HashSet<Vec<Value>> = HashSet::new();
-        let mut row_keys: Vec<Vec<Vec<Value>>> = Vec::new();
-        for row in &rows {
-            let mut alts: Vec<Vec<Value>> = vec![vec![]];
-            for ((k, ci), kt) in fetch.keys.iter().zip(&ctx_key_indices).zip(&key_types) {
-                let opts: Vec<Value> = match (k, ci) {
-                    (KeySource::Constant(v), _) => vec![v.clone()],
-                    (KeySource::Constants(vs), _) => vs.clone(),
-                    (KeySource::Ctx(_, _), Some(i)) => vec![row[*i].clone()],
-                    (KeySource::Ctx(_, _), None) => vec![Value::Null],
-                };
-                // NULL key values are dropped, matching the exact bounded
-                // executor: SQL equality never matches NULL, so a NULL key
-                // fetches nothing (the index's NULL bucket groups rows the
-                // baseline joins exclude).
-                let opts: Vec<Value> = opts
-                    .into_iter()
-                    .filter(|v| !v.is_null())
-                    .map(|v| beas_common::canonical_key_value(&v.cast(*kt).unwrap_or(v)))
-                    .collect();
-                let mut next = Vec::new();
-                for a in &alts {
-                    for o in &opts {
-                        let mut key = a.clone();
-                        key.push(o.clone());
-                        next.push(key);
-                    }
-                }
-                alts = next;
-            }
-            for key in &alts {
-                if seen.insert(key.clone()) {
-                    distinct_keys.push(key.clone());
-                }
-            }
-            row_keys.push(alts);
-        }
-
-        // Cap the keys so that worst-case fetched tuples stay within this
-        // step's share of the budget, and additionally stop as soon as the
-        // next bucket would push the total over the global budget (hard
-        // guarantee: tuples_accessed ≤ budget).
-        let step_budget = per_step.max(remaining_budget / (plan.fetches.len() - step_no) as u64);
-        let max_keys = (step_budget / fetch.constraint.n).max(1) as usize;
-        let mut buckets: HashMap<Vec<Value>, Vec<Row>> = HashMap::new();
-        let mut step_accessed: u64 = 0;
-        let mut processed = 0usize;
-        for key in distinct_keys.iter().take(max_keys) {
-            let bucket = index.fetch(key);
-            if tuples_accessed + step_accessed + bucket.len() as u64 > budget {
-                break;
-            }
-            step_accessed += bucket.len() as u64;
-            buckets.insert(key.clone(), bucket.to_vec());
-            processed += 1;
-        }
-        if !distinct_keys.is_empty() {
-            coverage *= processed as f64 / distinct_keys.len() as f64;
-        }
-        let allowed: HashSet<Vec<Value>> = distinct_keys.iter().take(processed).cloned().collect();
-        tuples_accessed += step_accessed;
-        remaining_budget = budget.saturating_sub(tuples_accessed);
-
-        // Extend the schema and join, exactly as the exact executor does.
-        let mut new_fields = schema.fields().to_vec();
-        for col in fetch.constraint.x.iter().chain(fetch.constraint.y.iter()) {
-            let dt = atom_schema
-                .column(col)
-                .map(|c| c.data_type)
-                .unwrap_or(beas_common::DataType::Str);
-            new_fields.push(beas_common::Field::base(
-                fetch.alias.clone(),
-                col.clone(),
-                dt,
-            ));
-        }
-        let new_schema = beas_common::Schema::new(new_fields);
-        let x_len = fetch.constraint.x.len();
-        let mut new_rows = Vec::new();
-        for (row, keys) in rows.iter().zip(&row_keys) {
-            for key in keys {
-                if !allowed.contains(key) {
-                    continue;
-                }
-                let Some(bucket) = buckets.get(key) else {
-                    continue;
-                };
-                for partial in bucket {
-                    let mut out = row.clone();
-                    out.extend(key.iter().take(x_len).cloned());
-                    out.extend(partial.iter().cloned());
-                    new_rows.push(out);
-                }
-            }
-        }
-        for pred in &fetch.post_filters {
-            let rewritten = crate::plan::rewrite_to_ctx(pred, query, graph, &new_schema)?;
-            new_rows = retain_matching(new_rows, &rewritten)?;
-        }
-        new_rows = beas_common::dedupe(new_rows);
-        metrics.record(
-            format!("ApproxFetch({})", fetch.constraint.id()),
-            new_rows.len() as u64,
-            step_accessed,
-            t.elapsed(),
-        );
-        schema = new_schema;
-        rows = new_rows;
-    }
-
-    // Finalization (same semantics as the exact bounded executor, including
-    // predicate-error propagation).
-    for pred in &plan.residual_predicates {
-        let rewritten = crate::plan::rewrite_to_ctx(pred, query, graph, &schema)?;
-        rows = retain_matching(rows, &rewritten)?;
-    }
-    let mut out: Vec<Row>;
-    if query.is_aggregate {
-        let group_by: Vec<BoundExpr> = query
-            .group_by
-            .iter()
-            .map(|g| crate::plan::rewrite_to_ctx(g, query, graph, &schema))
-            .collect::<Result<_>>()?;
-        let mut aggs = query.aggregates.clone();
-        for a in &mut aggs {
-            if let Some(arg) = &a.arg {
-                a.arg = Some(crate::plan::rewrite_to_ctx(arg, query, graph, &schema)?);
-            }
-        }
-        let mut agg_rows = aggregate(&rows, &group_by, &aggs)?;
-        if let Some(h) = &query.having {
-            agg_rows = retain_matching(agg_rows, h)?;
-        }
-        out = Vec::new();
-        for r in &agg_rows {
-            let mut p = Vec::new();
-            for (e, _) in &query.output {
-                p.push(evaluate(e, r)?);
-            }
-            out.push(p);
-        }
-    } else {
-        let outputs: Vec<BoundExpr> = query
-            .output
-            .iter()
-            .map(|(e, _)| crate::plan::rewrite_to_ctx(e, query, graph, &schema))
-            .collect::<Result<_>>()?;
-        out = Vec::new();
-        let mut seen = HashSet::new();
-        for r in &rows {
-            let mut p = Vec::new();
-            for e in &outputs {
-                p.push(evaluate(e, r)?);
-            }
-            if seen.insert(p.clone()) {
-                out.push(p);
-            }
-        }
-    }
-    if !query.order_by.is_empty() {
-        out.sort_by(|a, b| {
-            for (idx, asc) in &query.order_by {
-                let o = a[*idx].total_cmp(&b[*idx]);
-                let o = if *asc { o } else { o.reverse() };
-                if o != std::cmp::Ordering::Equal {
-                    return o;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-    }
-    if let Some(l) = query.limit {
-        out.truncate(l as usize);
-    }
-    metrics.elapsed = start.elapsed();
-
+    let mut cap = KeyCap::new(budget, program.fetches.steps.len());
+    let result = execute_program(
+        program,
+        indexes,
+        FetchConfig::default(),
+        quota,
+        Some(&mut cap),
+    )?;
     Ok(ApproximateExecution {
-        rows: out,
-        schema: query.output_schema.clone(),
-        tuples_accessed,
-        coverage,
-        metrics,
+        rows: result.rows,
+        schema: schema.clone(),
+        tuples_accessed: result.tuples_accessed,
+        coverage: cap.coverage,
+        metrics: result.metrics,
     })
+}
+
+/// The per-step key cap of a budgeted run.
+///
+/// The budget is split evenly across the fetch steps, and each step may
+/// also use budget left over by earlier steps.  A step looks up at most
+/// `share / N` of its keys (at least one), `N` being its constraint's
+/// cardinality bound, and stops before the bucket that would push the total
+/// past the budget — the hard guarantee `tuples_accessed ≤ budget`.
+#[derive(Debug)]
+pub(crate) struct KeyCap {
+    budget: u64,
+    per_step: u64,
+    steps: usize,
+    /// Steps run so far.
+    step: usize,
+    /// Tuples accessed so far.
+    accessed: u64,
+    /// Product of processed/distinct keys over the steps run so far.
+    coverage: f64,
+}
+
+impl KeyCap {
+    fn new(budget: u64, steps: usize) -> Self {
+        KeyCap {
+            budget,
+            per_step: (budget / steps.max(1) as u64).max(1),
+            steps,
+            step: 0,
+            accessed: 0,
+            coverage: 1.0,
+        }
+    }
+
+    /// The next step's limits, for a constraint with cardinality bound `n`:
+    /// how many of its first keys it may look up, and how many tuples it may
+    /// access.
+    pub(crate) fn limits(&self, n: u64) -> (usize, u64) {
+        let remaining = self.budget - self.accessed;
+        let share = self
+            .per_step
+            .max(remaining / (self.steps - self.step) as u64);
+        ((share / n).max(1) as usize, remaining)
+    }
+
+    /// Record that the step looked up `processed` of its `distinct` keys
+    /// and accessed `accessed` tuples.
+    pub(crate) fn record(&mut self, processed: usize, distinct: usize, accessed: u64) {
+        if distinct > 0 {
+            self.coverage *= processed as f64 / distinct as f64;
+        }
+        self.accessed += accessed;
+        self.step += 1;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::checker::Checker;
+    use crate::graph::QueryGraph;
+    use crate::plan::BoundedPlan;
     use crate::planner::generate_bounded_plan;
     use beas_access::{build_indexes, AccessConstraint, AccessSchema};
-    use beas_common::{ColumnDef, DataType, TableSchema};
-    use beas_sql::{parse_select, Binder};
+    use beas_common::{ColumnDef, DataType, TableSchema, Value};
+    use beas_sql::{parse_select, Binder, BoundQuery};
     use beas_storage::Database;
+    use std::collections::HashSet;
+
+    /// Compile `plan` and run it under `budget`.
+    fn execute_with_budget(
+        plan: &BoundedPlan,
+        query: &BoundQuery,
+        graph: &QueryGraph,
+        indexes: &AccessIndexes,
+        budget: u64,
+    ) -> Result<ApproximateExecution> {
+        let program = FetchProgram::compile(plan, query, graph)?;
+        super::execute_with_budget(&program, &query.output_schema, indexes, budget, None)
+    }
 
     fn setup() -> (Database, AccessSchema, AccessIndexes) {
         let mut db = Database::new();

@@ -20,9 +20,14 @@
 //! plan-cache hit pays only for index lookups, the fetch join and the
 //! answer-level finalization; the plan-taking entry points
 //! ([`execute_bounded_with`], [`execute_ctx_with`]) compile and then run.
+//! Resource-bounded approximation (`crate::approx`) runs the same program
+//! with a per-step cap on the keys each fetch looks up.
 
+use crate::approx::KeyCap;
 use crate::graph::QueryGraph;
-use crate::plan::{BoundedPlan, CompiledFetch, FetchProgram, FetchSteps, FinalShape, KeyPart};
+use crate::plan::{
+    BoundedPlan, CompiledFetch, FetchProgram, FetchSteps, FinalShape, Finalize, KeyPart,
+};
 use beas_access::AccessIndexes;
 use beas_common::{
     canonical_key_value, dedupe, is_canonical_key_value, joinable, BeasError, QuotaTracker, Result,
@@ -51,10 +56,9 @@ pub const PARALLEL_FETCH_MAX_WORKERS: usize = 8;
 /// Tuning knobs of the bounded fetch stage.
 ///
 /// The defaults are [`PARALLEL_FETCH_MIN_KEYS`] and
-/// [`PARALLEL_FETCH_MAX_WORKERS`]; deployments with different key-set
-/// shapes (a service serving many small sessions, or one analytic session
-/// with huge IN-lists) tune them through
-/// [`crate::BeasSystem::with_parallel_fetch_min_keys`].
+/// [`PARALLEL_FETCH_MAX_WORKERS`], which [`crate::BeasSystem`] always uses;
+/// the plan-taking entry points ([`execute_bounded_with`],
+/// [`execute_ctx_with`]) accept other values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FetchConfig {
     /// Minimum distinct fetch keys before the key set is partitioned across
@@ -129,7 +133,8 @@ pub fn execute_ctx_with<'a>(
     quota: Option<&QuotaTracker>,
 ) -> Result<CtxResult<'a>> {
     let fetches = FetchSteps::compile(plan, query, graph)?;
-    let (rows, metrics, tuples_accessed) = run_fetches(&fetches, indexes, fetch_config, quota)?;
+    let (rows, metrics, tuples_accessed) =
+        run_fetches(&fetches, indexes, fetch_config, quota, None)?;
     Ok(CtxResult {
         schema: fetches.schema,
         rows,
@@ -162,40 +167,58 @@ pub fn execute_bounded_with(
 ) -> Result<BoundedExecution> {
     let start = clock::now();
     let program = FetchProgram::compile(plan, query, graph)?;
-    let mut execution = execute_program(&program, indexes, fetch_config, quota)?;
+    let mut execution = execute_program(&program, indexes, fetch_config, quota, None)?;
     execution.metrics.elapsed = start.elapsed();
     Ok(execution)
 }
 
 /// Run a compiled program end to end: its fetch steps, the residual
 /// predicates, and the answer-level finalization.
+///
+/// With a [`KeyCap`] each fetch step looks up only as many of its keys as
+/// the cap allows — resource-bounded approximation (`crate::approx`).
+/// Without one every key is looked up: the exact bounded answer.
 pub(crate) fn execute_program(
     program: &FetchProgram,
     indexes: &AccessIndexes,
     fetch_config: FetchConfig,
     quota: Option<&QuotaTracker>,
+    cap: Option<&mut KeyCap>,
 ) -> Result<BoundedExecution> {
     let start = clock::now();
-    let finalize = &program.finalize;
-    let (mut rows, mut metrics, tuples_accessed) =
-        run_fetches(&program.fetches, indexes, fetch_config, quota)?;
+    let (rows, mut metrics, tuples_accessed) =
+        run_fetches(&program.fetches, indexes, fetch_config, quota, cap)?;
+    let rows = finalize(rows, &program.finalize, &mut metrics)?;
+    metrics.elapsed = start.elapsed();
+    Ok(BoundedExecution {
+        rows,
+        metrics,
+        tuples_accessed,
+    })
+}
 
+/// The answer stage over the context rows: residual predicates, then
+/// aggregation / projection / distinct / order / limit, mirroring the
+/// baseline engine's semantics.
+fn finalize(
+    mut rows: Vec<RowRef<'_>>,
+    stage: &Finalize,
+    metrics: &mut ExecutionMetrics,
+) -> Result<Vec<Row>> {
     // Residual predicates spanning several atoms; errors propagate like the
     // baseline's Filter operator.
-    if !finalize.residual.is_empty() {
+    if !stage.residual.is_empty() {
         let t = clock::now();
-        for pred in &finalize.residual {
+        for pred in &stage.residual {
             rows = retain_matching(rows, pred)?;
         }
         metrics.record("ResidualFilter", rows.len() as u64, 0, t.elapsed());
     }
 
-    // Finalization: aggregation / projection / distinct / order / limit,
-    // mirroring the baseline engine's semantics over the bounded context.
     // This dedupe of the projected answer is the only one on the bounded
     // path (context rows are distinct by construction, see `run_step`).
     let t = clock::now();
-    let mut out: Vec<Row> = match &finalize.shape {
+    let mut out: Vec<Row> = match &stage.shape {
         FinalShape::Aggregate {
             group_by,
             aggregates,
@@ -210,9 +233,9 @@ pub(crate) fn execute_program(
         }
         FinalShape::Project { outputs } => dedupe(project(&rows, outputs)?),
     };
-    if !finalize.order_by.is_empty() {
+    if !stage.order_by.is_empty() {
         out.sort_by(|a, b| {
-            for (idx, asc) in &finalize.order_by {
+            for (idx, asc) in &stage.order_by {
                 let ord = a[*idx].total_cmp(&b[*idx]);
                 let ord = if *asc { ord } else { ord.reverse() };
                 if ord != std::cmp::Ordering::Equal {
@@ -222,17 +245,11 @@ pub(crate) fn execute_program(
             std::cmp::Ordering::Equal
         });
     }
-    if let Some(limit) = finalize.limit {
+    if let Some(limit) = stage.limit {
         out.truncate(limit as usize);
     }
     metrics.record("Finalize", out.len() as u64, 0, t.elapsed());
-    metrics.elapsed = start.elapsed();
-
-    Ok(BoundedExecution {
-        rows: out,
-        metrics,
-        tuples_accessed,
-    })
+    Ok(out)
 }
 
 /// Evaluate `outputs` over every row.
@@ -243,12 +260,8 @@ fn project<R: ValueRow>(rows: &[R], outputs: &[BoundExpr]) -> Result<Vec<Row>> {
 }
 
 /// Keep the rows satisfying `pred`, propagating evaluation errors — the
-/// baseline engine's Filter semantics.  Shared by the exact bounded executor
-/// and the resource-bounded approximation so neither swallows type errors.
-pub(crate) fn retain_matching<R: beas_common::ValueRow>(
-    rows: Vec<R>,
-    pred: &BoundExpr,
-) -> Result<Vec<R>> {
+/// baseline engine's Filter semantics.
+fn retain_matching<R: ValueRow>(rows: Vec<R>, pred: &BoundExpr) -> Result<Vec<R>> {
     let mut kept = Vec::with_capacity(rows.len());
     for r in rows {
         if evaluate_predicate(pred, &r)? {
@@ -258,13 +271,14 @@ pub(crate) fn retain_matching<R: beas_common::ValueRow>(
     Ok(kept)
 }
 
-/// Run every step of `fetches`: the context rows, the per-step metrics, and
-/// the partial tuples accessed.
+/// Run every step of `fetches`, under `cap` if given: the context rows, the
+/// per-step metrics, and the partial tuples accessed.
 fn run_fetches<'a>(
     fetches: &FetchSteps,
     indexes: &'a AccessIndexes,
     fetch_config: FetchConfig,
     quota: Option<&QuotaTracker>,
+    mut cap: Option<&mut KeyCap>,
 ) -> Result<(Vec<RowRef<'a>>, ExecutionMetrics, u64)> {
     let start_all = clock::now();
     let mut metrics = ExecutionMetrics::new();
@@ -281,7 +295,7 @@ fn run_fetches<'a>(
                 step.constraint
             ))
         })?;
-        let (new_rows, accessed) = run_step(step, index, &rows, fetch_config)?;
+        let (new_rows, accessed) = run_step(step, index, &rows, fetch_config, cap.as_deref_mut())?;
         tuples_accessed += accessed;
         if let Some(q) = quota {
             q.charge_tuples(accessed)?;
@@ -480,6 +494,32 @@ fn fetch_buckets_keyed<'a>(
     (buckets, accessed)
 }
 
+/// Fetch the buckets of `keys[..max_keys]` in order, stopping before the
+/// bucket that would take the step past `room` tuples: the buckets
+/// (positionally aligned with `keys`, empty for every key not looked up, so
+/// the join skips it), the tuples accessed, and the number of keys looked
+/// up.
+fn fetch_buckets_capped<'a>(
+    index: &'a ConstraintIndex,
+    keys: &[Arc<Row>],
+    max_keys: usize,
+    room: u64,
+) -> (Vec<&'a [Row]>, u64, usize) {
+    let mut buckets: Vec<&'a [Row]> = vec![&[]; keys.len()];
+    let mut accessed = 0u64;
+    let mut processed = 0;
+    for (slot, key) in buckets.iter_mut().zip(keys).take(max_keys) {
+        let bucket = index.fetch(key);
+        if accessed + bucket.len() as u64 > room {
+            break;
+        }
+        accessed += bucket.len() as u64;
+        *slot = bucket;
+        processed += 1;
+    }
+    (buckets, accessed, processed)
+}
+
 /// A candidate output row of the fetch join, read in place: the context
 /// row, then the key's X-values, then the fetched partial tuple.  Lets the
 /// post-filters run before the row is assembled.
@@ -508,7 +548,8 @@ impl ValueRow for Joined<'_, '_> {
 }
 
 /// Run one fetch step: the joined, filtered rows and the number of partial
-/// tuples accessed.
+/// tuples accessed.  Under a [`KeyCap`] only the step's first keys (in
+/// first-seen order) are looked up, and rows keyed by the rest join nothing.
 ///
 /// Each context row is joined with the bucket of each of its keys; every
 /// output row is the context row's segments plus one shared segment for the
@@ -533,9 +574,19 @@ fn run_step<'a>(
     index: &'a ConstraintIndex,
     rows: &[RowRef<'a>],
     config: FetchConfig,
+    cap: Option<&mut KeyCap>,
 ) -> Result<(Vec<RowRef<'a>>, u64)> {
     let keys = StepKeys::collect(&step.keys, rows)?;
-    let (buckets, accessed) = fetch_buckets_keyed(index, &keys.keys, config);
+    let (buckets, accessed) = match cap {
+        None => fetch_buckets_keyed(index, &keys.keys, config),
+        Some(cap) => {
+            let (max_keys, room) = cap.limits(step.constraint.n);
+            let (buckets, accessed, processed) =
+                fetch_buckets_capped(index, &keys.keys, max_keys, room);
+            cap.record(processed, keys.keys.len(), accessed);
+            (buckets, accessed)
+        }
+    };
     let mut out = Vec::new();
     let mut first = 0;
     for (row, &end) in rows.iter().zip(&keys.ends) {

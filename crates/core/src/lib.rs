@@ -18,7 +18,9 @@
 //!   intermediates;
 //! * [`partial`] — the **BE Plan Optimizer**: partially bounded plans for
 //!   queries that are not covered;
-//! * [`approx`] — resource-bounded approximation under a tuple budget;
+//! * [`approx`] — resource-bounded approximation: a covered query's
+//!   compiled program run under a per-step key cap so it fetches at most a
+//!   tuple budget;
 //! * [`analyzer`] — Fig. 3-style performance analyses;
 //! * [`system`] — [`BeasSystem`], the facade tying it all together on top of
 //!   the storage layer and the conventional engine.

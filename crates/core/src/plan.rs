@@ -355,20 +355,8 @@ fn constant_options(values: &[Value], ty: DataType) -> KeyPart {
 
 /// Rewrite an expression bound over the query's flat input schema so that it
 /// reads from the context relation instead.  Columns not present in the
-/// context are substituted through their equivalence class (an equated
-/// context column or a constant).
-///
-/// Bounded execution calls this only through [`FetchProgram::compile`];
-/// resource-bounded approximation still rewrites per run.
-pub(crate) fn rewrite_to_ctx(
-    expr: &BoundExpr,
-    query: &BoundQuery,
-    graph: &QueryGraph,
-    ctx_schema: &Schema,
-) -> Result<BoundExpr> {
-    rewrite_with_classes(expr, query, graph, &graph.equivalence_classes(), ctx_schema)
-}
-
+/// context are substituted through their equivalence class (`classes`: an
+/// equated context column or a constant).
 fn rewrite_with_classes(
     expr: &BoundExpr,
     query: &BoundQuery,

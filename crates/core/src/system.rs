@@ -316,7 +316,6 @@ pub struct BeasSystem {
     /// its counters aggregate across all of them.
     plan_cache: Arc<PlanCache>,
     maintenance_policy: MaintenancePolicy,
-    fetch_config: FetchConfig,
     reduction_min_savings: f64,
 }
 
@@ -331,7 +330,6 @@ impl BeasSystem {
             fallback: Engine::new(OptimizerProfile::PgLike),
             plan_cache: Arc::new(PlanCache::default()),
             maintenance_policy: MaintenancePolicy::Strict,
-            fetch_config: FetchConfig::default(),
             reduction_min_savings: DEFAULT_REDUCTION_MIN_SAVINGS,
         }
     }
@@ -362,7 +360,6 @@ impl BeasSystem {
             fallback: self.fallback,
             plan_cache: Arc::clone(&self.plan_cache),
             maintenance_policy: self.maintenance_policy,
-            fetch_config: self.fetch_config,
             reduction_min_savings: self.reduction_min_savings,
         }
     }
@@ -425,20 +422,9 @@ impl BeasSystem {
         self.fallback.exec_profile()
     }
 
-    /// Tune the bounded fetch stage's parallelism threshold: the minimum
-    /// number of distinct fetch keys before a fetch partitions its key set
-    /// across worker threads (default
-    /// [`crate::executor::PARALLEL_FETCH_MIN_KEYS`]).  Like the morsel
-    /// knobs, this is a physical execution property — answers and cached
-    /// plans are unaffected.
-    pub fn with_parallel_fetch_min_keys(mut self, min_keys: usize) -> Self {
-        self.fetch_config.parallel_min_keys = min_keys;
-        self
-    }
-
-    /// The bounded fetch stage's tuning.
+    /// The bounded fetch stage's tuning: always [`FetchConfig::default`].
     pub fn fetch_config(&self) -> FetchConfig {
-        self.fetch_config
+        FetchConfig::default()
     }
 
     /// Set the partial-reduction cost gate threshold: a covered relation is
@@ -459,7 +445,6 @@ impl BeasSystem {
 
     fn partial_options(&self) -> PartialOptions {
         PartialOptions {
-            fetch: self.fetch_config,
             reduction_min_savings: self.reduction_min_savings,
         }
     }
@@ -759,7 +744,8 @@ impl BeasSystem {
         let coverage = &prepared.coverage;
         if let Some(CompiledPlan { plan, program }) = &prepared.bounded {
             let program = program.as_ref().map_err(Clone::clone)?;
-            let result = execute_program(program, &self.indexes, self.fetch_config, quota)?;
+            let result =
+                execute_program(program, &self.indexes, FetchConfig::default(), quota, None)?;
             return Ok(ExecutionOutcome {
                 rows: result.rows,
                 schema: query.output_schema.clone(),
@@ -954,42 +940,40 @@ impl BeasSystem {
         Ok(())
     }
 
-    /// Resource-bounded approximation: answer `sql` while fetching at most
-    /// `budget` tuples, reporting a deterministic coverage lower bound.
-    /// The parse → bind → check → plan stage is served from the plan cache
-    /// (covered queries reuse the cached bounded plan outright).
+    /// Resource-bounded approximation: answer a covered `sql` while
+    /// fetching at most `budget` tuples, reporting a deterministic coverage
+    /// lower bound.  The query runs its cached compiled program with a
+    /// per-step cap on the keys each fetch looks up.  A query the access
+    /// schema does not cover is a `not_bounded` error: it has no bounded
+    /// plan to cap.
     pub fn approximate(&self, sql: &str, budget: u64) -> Result<ApproximateExecution> {
         let prepared = self.prepare(sql)?;
-        self.approximate_prepared(&prepared, budget)
+        self.approximate_prepared(&prepared, budget, None)
     }
 
-    /// [`BeasSystem::approximate`] over an already-prepared query — the
-    /// approximation half of the single-acquisition service path.
+    /// [`BeasSystem::approximate`] over an already-prepared query, under an
+    /// optional session quota — the approximation half of the
+    /// single-acquisition service path.  The quota is checkpointed and
+    /// charged per fetch step, exactly as on the bounded path.
     pub fn approximate_prepared(
         &self,
         prepared: &PreparedQuery,
         budget: u64,
+        quota: Option<&QuotaTracker>,
     ) -> Result<ApproximateExecution> {
-        let query = &prepared.query;
-        let graph = &prepared.graph;
-        let coverage = &prepared.coverage;
-        if !coverage.covered && coverage.fetch_sequence.is_empty() {
+        let Some(CompiledPlan { program, .. }) = &prepared.bounded else {
             return Err(BeasError::not_bounded(
-                "no access constraint applies to this query; approximation is not possible"
-                    .to_string(),
+                "the access schema does not cover this query; approximation needs a bounded plan",
             ));
-        }
-        // Covered queries reuse the cached full plan; otherwise approximate
-        // over the covered portion.
-        let generated;
-        let plan = match prepared.plan() {
-            Some(plan) => plan,
-            None => {
-                generated = crate::planner::generate_plan_for_steps(query, graph, coverage, None)?;
-                &generated
-            }
         };
-        execute_with_budget(plan, query, graph, &self.indexes, budget)
+        let program = program.as_ref().map_err(Clone::clone)?;
+        execute_with_budget(
+            program,
+            &prepared.query.output_schema,
+            &self.indexes,
+            budget,
+            quota,
+        )
     }
 
     /// EXPLAIN ANALYZE through the whole system: execute `sql` through
@@ -1352,17 +1336,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fetch_min_keys_knob_keeps_answers() {
-        let default_sys = system();
-        let tuned = system().with_parallel_fetch_min_keys(1);
-        assert_eq!(tuned.fetch_config().parallel_min_keys, 1);
-        let a = default_sys.execute_sql(COVERED).unwrap();
-        let b = tuned.execute_sql(COVERED).unwrap();
-        assert_eq!(a.rows, b.rows);
-        assert_eq!(a.tuples_accessed, b.tuples_accessed);
-    }
-
-    #[test]
     fn budget_checks() {
         let beas = system();
         assert!(beas.can_answer_within(COVERED, 10_000_000).unwrap());
@@ -1383,6 +1356,18 @@ mod tests {
         assert!(beas
             .approximate("select region from call where region = 'east'", 100)
             .is_err());
+        // only `business` is covered (no `call.date` to key `call` by):
+        // fetching it alone would answer every bank, unchecked against the
+        // join with `call`
+        let err = beas
+            .approximate(
+                "select distinct business.pnum from business, call \
+                 where business.type = 'bank' and business.region = 'r0' \
+                 and business.pnum = call.pnum",
+                100,
+            )
+            .expect_err("uncovered query");
+        assert_eq!(err.kind(), "not_bounded");
     }
 
     #[test]

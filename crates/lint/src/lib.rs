@@ -2,14 +2,14 @@
 //! # beas-lint
 //!
 //! Project-specific static analysis for the BEAS workspace: a self-contained
-//! token-level lexer plus a catalog of invariant rules (`L001`..`L010`) that
+//! token-level lexer plus a catalog of invariant rules (`L001`..`L011`) that
 //! mechanically enforce disciplines the compiler cannot see — propagated
 //! predicate errors, canonicalized join/index keys, quota checkpoints in
 //! blocking loops, storage mutation behind the maintenance facade, approved
 //! sync primitives in concurrent code, justified `#[allow]`s,
 //! `#![forbid(unsafe_code)]` crate roots, canonical hashing in columnar
-//! kernels, all product timing routed through `beas_obs::clock`, and one
-//! core-count read per process.
+//! kernels, all product timing routed through `beas_obs::clock`, one
+//! core-count read per process, and one bounded fetch loop.
 //!
 //! The rule catalog, the history behind each rule, and the suppression
 //! syntax (`// beas-lint: allow(Lnnn) -- reason`) are documented in
@@ -67,6 +67,10 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "L010",
         "available_parallelism only in beas_common::default_workers (one core-count read per process)",
+    ),
+    (
+        "L011",
+        "constraint-index lookups in crates/core only in the bounded executor (one fetch loop)",
     ),
 ];
 

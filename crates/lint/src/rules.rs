@@ -120,10 +120,18 @@ const CORE_COUNT_FILE: &str = "crates/common/src/morsel.rs";
 /// records the host core count once, as run metadata.
 const CORE_COUNT_EXEMPT: &[&str] = &["svcbench/"];
 
+/// Constraint-index lookup methods (rule L011).
+const INDEX_LOOKUPS: &[&str] = &["fetch", "fetch_buckets", "fetch_many"];
+
+/// The crate whose index lookups rule L011 confines (prefix match), and the
+/// one file in it allowed to make them: the bounded executor's fetch loop.
+const FETCH_LOOP_CRATE: &str = "crates/core/";
+const FETCH_LOOP_FILE: &str = "crates/core/src/executor.rs";
+
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule id (`L001` .. `L010`, or `L000` for a malformed suppression).
+    /// Rule id (`L001` .. `L011`, or `L000` for a malformed suppression).
     pub rule: &'static str,
     /// Workspace-relative path.
     pub file: String,
@@ -199,6 +207,7 @@ pub fn lint_source(src: &str, ctx: &FileContext) -> Vec<Finding> {
     check_l008(&sig, &all, ctx, &mut findings);
     check_l009(&sig, ctx, &mut findings);
     check_l010(&sig, ctx, &mut findings);
+    check_l011(&sig, ctx, &mut findings);
 
     findings.retain(|f| {
         // L006/L007 apply everywhere; the structural rules skip test code
@@ -778,6 +787,39 @@ fn check_l010(sig: &[&Token], ctx: &FileContext, findings: &mut Vec<Finding>) {
                     it reads cgroup files on every call — take the process-wide \
                     cached count from `beas_common::default_workers`"
                     .to_string(),
+            });
+        }
+    }
+}
+
+/// L011 — constraint-index lookups (`.fetch(..)`, `.fetch_buckets(..)`,
+/// `.fetch_many(..)`) in `crates/core` only in [`FETCH_LOOP_FILE`].
+/// Resource-bounded approximation once kept its own fetch loop, which
+/// drifted from the exact one (it skipped the join with uncovered atoms and
+/// swallowed key cast errors); it now runs the executor's loop under a key
+/// cap, and this rule keeps a second loop from returning.
+fn check_l011(sig: &[&Token], ctx: &FileContext, findings: &mut Vec<Finding>) {
+    if !ctx.path.starts_with(FETCH_LOOP_CRATE) || ctx.path == FETCH_LOOP_FILE {
+        return;
+    }
+    for i in 1..sig.len() {
+        let t = sig[i];
+        if t.kind == TokenKind::Ident
+            && INDEX_LOOKUPS.contains(&t.text.as_str())
+            && sig[i - 1].is_punct('.')
+            && sig.get(i + 1).map(|n| n.is_punct('(')).unwrap_or(false)
+        {
+            findings.push(Finding {
+                rule: "L011",
+                file: ctx.path.clone(),
+                line: t.line,
+                message: format!(
+                    "constraint-index lookup `.{}(..)` outside the bounded \
+                     executor; run a compiled program through \
+                     `executor::execute_program` (with a `KeyCap` to bound it) \
+                     so there is one fetch loop",
+                    t.text
+                ),
             });
         }
     }

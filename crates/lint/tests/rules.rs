@@ -218,6 +218,34 @@ fn l010_clean_when_workers_come_from_the_cached_count() {
 }
 
 #[test]
+fn l011_fires_on_index_lookups_outside_the_bounded_executor() {
+    let findings = lint_fixture("l011_fire.rs", "crates/core/src/approx.rs");
+    assert_eq!(rules_of(&findings), vec!["L011", "L011"], "{findings:?}");
+    assert_eq!(findings[0].line, 6);
+    assert!(findings[0].message.contains("`.fetch(..)`"));
+    assert!(findings[1].message.contains("`.fetch_buckets(..)`"));
+}
+
+#[test]
+fn l011_exempts_the_executor_other_crates_and_tests() {
+    for path in [
+        "crates/core/src/executor.rs",
+        "crates/storage/src/constraint_index.rs",
+        "crates/access/src/indexes.rs",
+        "crates/core/tests/fetch.rs",
+    ] {
+        let findings = lint_fixture("l011_fire.rs", path);
+        assert!(findings.is_empty(), "{path}: {findings:?}");
+    }
+}
+
+#[test]
+fn l011_clean_when_the_budgeted_run_delegates_to_the_executor() {
+    let findings = lint_fixture("l011_clean.rs", "crates/core/src/approx.rs");
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
 fn justified_suppressions_silence_findings() {
     // l004_fire.rs shows the violations fire; suppressed.rs is the same
     // shape with above-line, multi-comment-line and same-line suppressions

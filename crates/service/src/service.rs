@@ -614,15 +614,13 @@ impl Session {
                 })
             }
             Decision::Approximate { budget } => {
-                // The approximation's own budget cap enforces the tuple
-                // quota (it never fetches past `budget`); the row cap and
-                // the deadline still need the tracker — checked after the
-                // run, since the approximator has no cooperative hooks yet.
+                // The budget cap keeps the run within the tuple quota; the
+                // fetch steps checkpoint the deadline and charge the tracker
+                // as on the bounded path.
                 let tracker: QuotaTracker = self.quota.tracker();
-                let approx = snapshot.approximate_prepared(&prepared, budget)?;
+                let approx = snapshot.approximate_prepared(&prepared, budget, Some(&tracker))?;
                 tracker.check_rows(approx.rows.len() as u64)?;
-                tracker.checkpoint()?;
-                tuples_used = approx.tuples_accessed;
+                tuples_used = tracker.tuples_used();
                 Some(Answer {
                     rows: approx.rows,
                     schema: approx.schema,

@@ -3,8 +3,8 @@
 //! compiled path against the baseline engine on the key shapes compilation
 //! rewrites (duplicate and coercion-equal IN-list constants, NULL context
 //! keys, a relation occurring twice), pin per-step accounting on the TLC
-//! workload, and check that a cached program stays valid across writes to
-//! tables outside its read set.
+//! workload (exact and unlimited approximate runs alike), and check that a
+//! cached program stays valid across writes to tables outside its read set.
 
 use beas::prelude::*;
 use std::sync::Arc;
@@ -371,6 +371,13 @@ fn tlc_fetch_steps_are_pinned() {
         assert_eq!(fetch_steps(&outcome.metrics), expected, "{id}");
         let total: u64 = steps.iter().map(|s| s.2).sum();
         assert_eq!(outcome.tuples_accessed, total, "{id}");
+        // an unlimited approximation is the exact run: same steps, same
+        // rows in the same order, same accounting
+        let approx = system.approximate(&q.sql, u64::MAX).unwrap();
+        assert_eq!(fetch_steps(&approx.metrics), expected, "{id} approximate");
+        assert_eq!(approx.rows, outcome.rows, "{id} approximate");
+        assert_eq!(approx.tuples_accessed, total, "{id} approximate");
+        assert_eq!(approx.coverage, 1.0, "{id} approximate");
     }
 }
 

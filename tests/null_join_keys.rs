@@ -5,7 +5,8 @@
 //! however, group NULL keys into a bucket (DISTINCT semantics), so the
 //! bounded fetch path must explicitly *skip* NULL fetch keys or it would
 //! resurrect rows the baseline excludes.  These tests pin the agreement on
-//! data that exercises exactly that divergence.
+//! data that exercises exactly that divergence, and that a key constant
+//! which cannot be cast to the key type fails alike on every path.
 
 use beas::prelude::*;
 
@@ -148,4 +149,45 @@ fn approximation_also_skips_null_keys() {
     assert!((approx.coverage - 1.0).abs() < 1e-9);
     let baseline = Engine::default().run(system.database(), QUERY).unwrap();
     assert_eq!(sorted(approx.rows), sorted(baseline.rows));
+}
+
+#[test]
+fn approximation_raises_key_cast_errors_like_the_bounded_path() {
+    // `pnum` is an INT key: the constant 'abc' cannot be cast to it, which
+    // the bounded path and the baseline report as a type error
+    let mut db = Database::new();
+    db.create_table(
+        TableSchema::new(
+            "call",
+            vec![
+                beas::common::ColumnDef::new("pnum", DataType::Int),
+                beas::common::ColumnDef::new("recnum", DataType::Str),
+                beas::common::ColumnDef::new("date", DataType::Date),
+            ],
+        )
+        .unwrap(),
+    )
+    .unwrap();
+    db.insert(
+        "call",
+        vec![Value::Int(1), Value::str("x"), Value::str("2016-07-04")],
+    )
+    .unwrap();
+    let schema = AccessSchema::from_constraints(vec![AccessConstraint::new(
+        "call",
+        &["pnum", "date"],
+        &["recnum"],
+        500,
+    )
+    .unwrap()]);
+    let system = BeasSystem::with_schema(db, schema).unwrap();
+    let sql = "select recnum from call where pnum = 'abc' and date = '2016-07-04'";
+    let bounded = system.execute_sql(sql).expect_err("bounded path");
+    let baseline = Engine::default()
+        .run(system.database(), sql)
+        .expect_err("baseline");
+    assert_eq!(bounded.kind(), "type");
+    assert_eq!(baseline.kind(), "type");
+    let approx = system.approximate(sql, 1_000).expect_err("approximation");
+    assert_eq!(approx.kind(), bounded.kind());
 }
