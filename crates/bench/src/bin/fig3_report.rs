@@ -20,7 +20,10 @@ fn main() {
     println!("database: {} rows total\n", env.total_rows);
 
     let q1 = env.q1();
-    let analysis = env.system.analyze(&q1).expect("analysis of Q1 succeeds");
+    let analysis = env
+        .system
+        .explain_analyze(&q1)
+        .expect("analysis of Q1 succeeds");
     println!("{analysis}");
 
     println!("paper reference point (20 GB TLC, authors' testbed):");

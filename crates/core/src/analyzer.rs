@@ -45,101 +45,26 @@ impl SystemMeasurement {
     }
 }
 
-/// A Fig. 3-style performance analysis of one query.
+/// One baseline engine's run in a [`QueryAnalysis`]: its measurement and
+/// its per-operator `EXPLAIN ANALYZE` tree.
 #[derive(Debug, Clone)]
-pub struct PerformanceAnalysis {
-    /// The SQL text analysed.
-    pub sql: String,
-    /// Whether BEAS answered it with a (fully) bounded plan.
-    pub bounded: bool,
-    /// Number of access constraints employed by the plan.
-    pub constraints_used: usize,
-    /// Deduced upper bound on tuples accessed (fully bounded plans only).
-    pub deduced_bound: Option<u64>,
-    /// The BEAS measurement.
-    pub beas: SystemMeasurement,
-    /// Baseline measurements (one per optimizer profile compared against).
-    pub baselines: Vec<SystemMeasurement>,
+pub struct BaselineAnalysis {
+    /// Time, tuples accessed, answers and the flat metrics of the run.
+    pub measurement: SystemMeasurement,
+    /// The plan tree with runtime metrics attached to every operator,
+    /// including `Exchange(..)` / `Vectorized(..)` annotations when those
+    /// physical paths ran.
+    pub tree: AnalyzeNode,
 }
 
-impl PerformanceAnalysis {
-    /// Speed-up of BEAS over a baseline (baseline time / BEAS time).
-    pub fn speedup_over(&self, baseline: &SystemMeasurement) -> f64 {
-        let beas = self.beas.elapsed.as_secs_f64().max(1e-9);
-        baseline.elapsed.as_secs_f64() / beas
-    }
-
-    /// Data-access reduction factor over a baseline
-    /// (baseline tuples / BEAS tuples).
-    pub fn access_reduction_over(&self, baseline: &SystemMeasurement) -> f64 {
-        let beas = self.beas.tuples_accessed.max(1) as f64;
-        baseline.tuples_accessed as f64 / beas
-    }
-
-    /// Render the analysis in the style of the demo's Fig. 3 panel.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("query: {}\n", self.sql));
-        out.push_str(&format!(
-            "plan: {}   access constraints used: {}   deduced bound: {}\n",
-            if self.bounded {
-                "bounded"
-            } else {
-                "partially bounded / conventional"
-            },
-            self.constraints_used,
-            self.deduced_bound
-                .map(|b| b.to_string())
-                .unwrap_or_else(|| "n/a".to_string()),
-        ));
-        out.push_str(&format!(
-            "{:<28} {:>14} {:>16} {:>12} {:>12}\n",
-            "system", "time", "tuples accessed", "answers", "speed-up"
-        ));
-        out.push_str(&format!(
-            "{:<28} {:>14} {:>16} {:>12} {:>12}\n",
-            self.beas.system,
-            format_duration(self.beas.elapsed),
-            self.beas.tuples_accessed,
-            self.beas.rows,
-            "1.00x"
-        ));
-        for b in &self.baselines {
-            out.push_str(&format!(
-                "{:<28} {:>14} {:>16} {:>12} {:>11.0}x\n",
-                b.system,
-                format_duration(b.elapsed),
-                b.tuples_accessed,
-                b.rows,
-                self.speedup_over(b)
-            ));
-        }
-        out.push_str("\n-- BEAS per-operation breakdown --\n");
-        out.push_str(&self.beas.metrics.render());
-        for b in &self.baselines {
-            out.push_str(&format!("\n-- {} per-operation breakdown --\n", b.system));
-            out.push_str(&b.metrics.render());
-        }
-        out
-    }
-}
-
-impl fmt::Display for PerformanceAnalysis {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.render())
-    }
-}
-
-/// The output of [`crate::BeasSystem::explain_analyze`]: one timed run
-/// through BEAS (bounded when covered, partial/conventional otherwise) and
-/// one timed `EXPLAIN ANALYZE` run on the fallback engine, side by side.
+/// The Fig. 3 report of one query, the output of
+/// [`crate::BeasSystem::explain_analyze`]: one timed run through BEAS
+/// (bounded when covered, partial/conventional otherwise) and one timed
+/// `EXPLAIN ANALYZE` run per baseline optimizer profile.
 ///
 /// The BEAS breakdown stays flat — a bounded plan is a fetch *pipeline*
-/// (`Fetch(ψ1) → Fetch(ψ2) → …`), not an operator tree — while the
-/// baseline is rendered as the Fig. 3-style per-operator tree with
-/// `rows out` / `tuples accessed` / `time` on every node, including
-/// `Exchange(..)` and `Vectorized(..)` annotations when those physical
-/// paths ran.
+/// (`Fetch(ψ1) → Fetch(ψ2) → …`), not an operator tree — while each
+/// baseline carries its per-operator tree.
 #[derive(Debug, Clone)]
 pub struct QueryAnalysis {
     /// The SQL text analysed.
@@ -152,10 +77,8 @@ pub struct QueryAnalysis {
     pub constraints_used: usize,
     /// The BEAS measurement (flat fetch-pipeline breakdown).
     pub beas: SystemMeasurement,
-    /// The baseline measurement from the timed fallback-engine run.
-    pub baseline: SystemMeasurement,
-    /// The baseline's per-operator tree with runtime metrics attached.
-    pub baseline_tree: AnalyzeNode,
+    /// One run per baseline profile, in [`OptimizerProfile::all`] order.
+    pub baselines: Vec<BaselineAnalysis>,
 }
 
 impl QueryAnalysis {
@@ -164,12 +87,20 @@ impl QueryAnalysis {
         self.mode == EvaluationMode::Bounded
     }
 
-    /// Data-access reduction factor (baseline tuples / BEAS tuples).
-    pub fn access_reduction(&self) -> f64 {
-        self.baseline.tuples_accessed as f64 / self.beas.tuples_accessed.max(1) as f64
+    /// Speed-up of BEAS over a baseline (baseline time / BEAS time).
+    pub fn speedup_over(&self, baseline: &SystemMeasurement) -> f64 {
+        let beas = self.beas.elapsed.as_secs_f64().max(1e-9);
+        baseline.elapsed.as_secs_f64() / beas
     }
 
-    /// Render the bounded-vs-baseline comparison.
+    /// Data-access reduction factor over a baseline
+    /// (baseline tuples / BEAS tuples).
+    pub fn access_reduction_over(&self, baseline: &SystemMeasurement) -> f64 {
+        baseline.tuples_accessed as f64 / self.beas.tuples_accessed.max(1) as f64
+    }
+
+    /// Render the report: one table comparing BEAS with every baseline,
+    /// then the BEAS breakdown, then each baseline's `EXPLAIN ANALYZE` tree.
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("query: {}\n", self.sql));
@@ -186,29 +117,29 @@ impl QueryAnalysis {
                 .unwrap_or_else(|| "n/a".to_string()),
         ));
         out.push_str(&format!(
-            "{:<28} {:>14} {:>16} {:>12}\n",
-            "system", "time", "tuples accessed", "answers"
+            "{:<28} {:>14} {:>16} {:>12} {:>12}\n",
+            "system", "time", "tuples accessed", "answers", "speed-up"
         ));
-        for m in [&self.beas, &self.baseline] {
+        let rows = std::iter::once(&self.beas).chain(self.baselines.iter().map(|b| &b.measurement));
+        for m in rows {
             out.push_str(&format!(
-                "{:<28} {:>14} {:>16} {:>12}\n",
+                "{:<28} {:>14} {:>16} {:>12} {:>11.1}x\n",
                 m.system,
                 format_duration(m.elapsed),
                 m.tuples_accessed,
                 m.rows,
+                self.speedup_over(m),
             ));
         }
-        out.push_str(&format!(
-            "data-access reduction: {:.1}x\n",
-            self.access_reduction()
-        ));
         out.push_str("\n-- BEAS per-operation breakdown --\n");
         out.push_str(&self.beas.metrics.render());
-        out.push_str(&format!(
-            "\n-- {} EXPLAIN ANALYZE --\n",
-            self.baseline.system
-        ));
-        out.push_str(&self.baseline_tree.render());
+        for b in &self.baselines {
+            out.push_str(&format!(
+                "\n-- {} EXPLAIN ANALYZE --\n",
+                b.measurement.system
+            ));
+            out.push_str(&b.tree.render());
+        }
         out
     }
 }
@@ -231,52 +162,67 @@ mod tests {
         m
     }
 
+    fn baseline(system: &str, metrics: ExecutionMetrics, rows: u64) -> BaselineAnalysis {
+        let tree = AnalyzeNode {
+            label: "SeqScan(t)".into(),
+            metric: metrics.operators[0].clone(),
+            annotations: Vec::new(),
+            children: Vec::new(),
+        };
+        BaselineAnalysis {
+            measurement: SystemMeasurement::new(system, metrics, rows),
+            tree,
+        }
+    }
+
     #[test]
     fn speedups_and_render() {
-        let analysis = PerformanceAnalysis {
+        let analysis = QueryAnalysis {
             sql: "SELECT 1 FROM t".into(),
-            bounded: true,
+            mode: EvaluationMode::Bounded,
             constraints_used: 3,
             deduced_bound: Some(12_024_000),
             beas: SystemMeasurement::new("BEAS", metrics(1, 100), 5),
             baselines: vec![
-                SystemMeasurement::new(
-                    SystemMeasurement::baseline_label(OptimizerProfile::PgLike),
+                baseline(
+                    &SystemMeasurement::baseline_label(OptimizerProfile::PgLike),
                     metrics(1953, 1_000_000),
                     5,
                 ),
-                SystemMeasurement::new(
-                    SystemMeasurement::baseline_label(OptimizerProfile::MySqlLike),
+                baseline(
+                    &SystemMeasurement::baseline_label(OptimizerProfile::MySqlLike),
                     metrics(6562, 1_000_000),
                     5,
                 ),
             ],
         };
-        let speedup = analysis.speedup_over(&analysis.baselines[0]);
+        let speedup = analysis.speedup_over(&analysis.baselines[0].measurement);
         assert!((speedup - 1953.0).abs() < 1.0);
-        assert!(analysis.access_reduction_over(&analysis.baselines[0]) > 9_000.0);
+        assert!(analysis.access_reduction_over(&analysis.baselines[0].measurement) > 9_000.0);
         let s = analysis.render();
         assert!(s.contains("BEAS"));
         assert!(s.contains("pg-like (PostgreSQL)"));
         assert!(s.contains("deduced bound: 12024000"));
+        assert!(s.contains("1953.0x"));
         assert!(s.contains("per-operation breakdown"));
+        assert!(s.contains("-- mysql-like (MySQL) EXPLAIN ANALYZE --"));
         assert_eq!(format!("{analysis}"), s);
     }
 
     #[test]
     fn handles_zero_division_gracefully() {
-        let analysis = PerformanceAnalysis {
+        let analysis = QueryAnalysis {
             sql: "q".into(),
-            bounded: false,
+            mode: EvaluationMode::Conventional,
             constraints_used: 0,
             deduced_bound: None,
             beas: SystemMeasurement::new("BEAS", ExecutionMetrics::new(), 0),
-            baselines: vec![SystemMeasurement::new("base", metrics(10, 10), 0)],
+            baselines: vec![baseline("base", metrics(10, 10), 0)],
         };
-        assert!(analysis.speedup_over(&analysis.baselines[0]).is_finite());
-        assert!(analysis
-            .access_reduction_over(&analysis.baselines[0])
-            .is_finite());
+        let base = &analysis.baselines[0].measurement;
+        assert!(analysis.speedup_over(base).is_finite());
+        assert!(analysis.access_reduction_over(base).is_finite());
+        assert!(analysis.speedup_over(&analysis.beas).is_finite());
         assert!(analysis.render().contains("n/a"));
     }
 }

@@ -222,7 +222,15 @@ mod tests {
         assert!(result.coverage >= 0.25); // at least budget/need of the keys
                                           // soundness: every approximate answer is a genuine answer
         let (plan2, query2, graph2, indexes2) = prepare(SQL);
-        let exact = crate::executor::execute_bounded(&plan2, &query2, &graph2, &indexes2).unwrap();
+        let exact = crate::executor::execute_bounded_with(
+            &plan2,
+            &query2,
+            &graph2,
+            &indexes2,
+            crate::executor::FetchConfig::default(),
+            None,
+        )
+        .unwrap();
         let exact_set: HashSet<Row> = exact.rows.into_iter().collect();
         for r in &result.rows {
             assert!(exact_set.contains(r));

@@ -107,23 +107,14 @@ pub struct BoundedExecution {
 }
 
 /// Execute the fetch stages of a bounded plan, producing the context
-/// relation.  Used directly by partially bounded evaluation.
-pub fn execute_ctx<'a>(
-    plan: &BoundedPlan,
-    query: &BoundQuery,
-    graph: &QueryGraph,
-    indexes: &'a AccessIndexes,
-) -> Result<CtxResult<'a>> {
-    execute_ctx_with(plan, query, graph, indexes, FetchConfig::default(), None)
-}
-
-/// [`execute_ctx`] with explicit fetch tuning and an optional session quota.
+/// relation, under explicit fetch tuning and an optional session quota.
 /// The quota is charged once per fetch step with the partial tuples that
 /// step accessed — fetch steps are the only place bounded plans touch base
 /// data — so an in-flight bounded query whose actual access exceeds its
 /// budget stops at the next step boundary with a structured quota error.
 ///
-/// Compiles the plan's fetch steps and runs them.
+/// Compiles the plan's fetch steps and runs them.  Partially bounded
+/// evaluation uses the context relation directly.
 pub fn execute_ctx_with<'a>(
     plan: &BoundedPlan,
     query: &BoundQuery,
@@ -143,20 +134,11 @@ pub fn execute_ctx_with<'a>(
     })
 }
 
-/// Execute a bounded plan end to end (fetch stages plus finalization).
-pub fn execute_bounded(
-    plan: &BoundedPlan,
-    query: &BoundQuery,
-    graph: &QueryGraph,
-    indexes: &AccessIndexes,
-) -> Result<BoundedExecution> {
-    execute_bounded_with(plan, query, graph, indexes, FetchConfig::default(), None)
-}
-
-/// [`execute_bounded`] with explicit fetch tuning and an optional session
-/// quota (see [`execute_ctx_with`] for the charging discipline).  Compiles
-/// the plan and runs it; a cached prepared query runs its compiled program
-/// instead ([`crate::BeasSystem::execute_prepared`]).
+/// Execute a bounded plan end to end (fetch stages plus finalization)
+/// under explicit fetch tuning and an optional session quota (see
+/// [`execute_ctx_with`] for the charging discipline).  Compiles the plan
+/// and runs it; a cached prepared query runs its compiled program instead
+/// ([`crate::BeasSystem::execute_prepared`]).
 pub fn execute_bounded_with(
     plan: &BoundedPlan,
     query: &BoundQuery,
@@ -744,7 +726,15 @@ mod tests {
         let coverage = Checker::new(&schema).check(&bound, &graph);
         assert!(coverage.covered, "not covered: {:?}", coverage.reasons);
         let plan = generate_bounded_plan(&bound, &graph, &coverage).unwrap();
-        execute_bounded(&plan, &bound, &graph, &indexes).unwrap()
+        execute_bounded_with(
+            &plan,
+            &bound,
+            &graph,
+            &indexes,
+            FetchConfig::default(),
+            None,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -830,7 +820,10 @@ mod tests {
         let coverage = Checker::new(&schema).check(&bound, &graph);
         let plan = generate_bounded_plan(&bound, &graph, &coverage).unwrap();
         let empty = AccessIndexes::new();
-        assert!(execute_bounded(&plan, &bound, &graph, &empty).is_err());
+        assert!(
+            execute_bounded_with(&plan, &bound, &graph, &empty, FetchConfig::default(), None)
+                .is_err()
+        );
     }
 
     #[test]
@@ -847,7 +840,14 @@ mod tests {
         let coverage = Checker::new(&schema).check(&bound, &graph);
         assert!(coverage.covered, "not covered: {:?}", coverage.reasons);
         let plan = generate_bounded_plan(&bound, &graph, &coverage).unwrap();
-        let bounded = execute_bounded(&plan, &bound, &graph, &indexes);
+        let bounded = execute_bounded_with(
+            &plan,
+            &bound,
+            &graph,
+            &indexes,
+            FetchConfig::default(),
+            None,
+        );
         let baseline = beas_engine::Engine::default().run(&db, sql);
         let bounded_err = bounded.expect_err("bounded must propagate the type error");
         let baseline_err = baseline.expect_err("baseline must propagate the type error");
@@ -915,7 +915,15 @@ mod tests {
         let coverage = Checker::new(&schema).check(&bound, &graph);
         assert!(coverage.covered, "not covered: {:?}", coverage.reasons);
         let plan = generate_bounded_plan(&bound, &graph, &coverage).unwrap();
-        let bounded = execute_bounded(&plan, &bound, &graph, &indexes).unwrap();
+        let bounded = execute_bounded_with(
+            &plan,
+            &bound,
+            &graph,
+            &indexes,
+            FetchConfig::default(),
+            None,
+        )
+        .unwrap();
         let baseline = beas_engine::Engine::default().run(&db, sql).unwrap();
         let canon = |mut rows: Vec<Row>| {
             rows.sort_by(|a, b| a[0].total_cmp(&b[0]));
@@ -991,7 +999,15 @@ mod tests {
         let coverage = Checker::new(&schema).check(&bound, &graph);
         assert!(coverage.covered, "not covered: {:?}", coverage.reasons);
         let plan = generate_bounded_plan(&bound, &graph, &coverage).unwrap();
-        let bounded = execute_bounded(&plan, &bound, &graph, &indexes).unwrap();
+        let bounded = execute_bounded_with(
+            &plan,
+            &bound,
+            &graph,
+            &indexes,
+            FetchConfig::default(),
+            None,
+        )
+        .unwrap();
         assert_eq!(bounded.rows.len(), n * 2);
         let baseline = beas_engine::Engine::default().run(&db, sql).unwrap();
         let canon = |mut rows: Vec<Row>| {
@@ -1055,7 +1071,15 @@ mod tests {
         let graph = QueryGraph::build(&bound).unwrap();
         let coverage = Checker::new(&schema).check(&bound, &graph);
         let plan = generate_bounded_plan(&bound, &graph, &coverage).unwrap();
-        let serial = execute_bounded(&plan, &bound, &graph, &indexes).unwrap();
+        let serial = execute_bounded_with(
+            &plan,
+            &bound,
+            &graph,
+            &indexes,
+            FetchConfig::default(),
+            None,
+        )
+        .unwrap();
         let forced = FetchConfig {
             parallel_min_keys: 1,
             max_workers: 4,
@@ -1075,7 +1099,15 @@ mod tests {
         let graph = QueryGraph::build(&bound).unwrap();
         let coverage = Checker::new(&schema).check(&bound, &graph);
         let plan = generate_bounded_plan(&bound, &graph, &coverage).unwrap();
-        let bounded = execute_bounded(&plan, &bound, &graph, &indexes).unwrap();
+        let bounded = execute_bounded_with(
+            &plan,
+            &bound,
+            &graph,
+            &indexes,
+            FetchConfig::default(),
+            None,
+        )
+        .unwrap();
         let baseline = beas_engine::Engine::default().run(&db, sql).unwrap();
         let mut a = bounded.rows.clone();
         let mut b = baseline.rows.clone();

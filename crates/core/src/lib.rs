@@ -21,7 +21,8 @@
 //! * [`approx`] — resource-bounded approximation: a covered query's
 //!   compiled program run under a per-step key cap so it fetches at most a
 //!   tuple budget;
-//! * [`analyzer`] — Fig. 3-style performance analyses;
+//! * [`analyzer`] — the Fig. 3 report: BEAS against every baseline profile,
+//!   with the BEAS breakdown and each baseline's `EXPLAIN ANALYZE` tree;
 //! * [`system`] — [`BeasSystem`], the facade tying it all together on top of
 //!   the storage layer and the conventional engine.
 
@@ -35,17 +36,17 @@ pub mod plan;
 pub mod planner;
 pub mod system;
 
-pub use analyzer::{PerformanceAnalysis, QueryAnalysis, SystemMeasurement};
+pub use analyzer::{BaselineAnalysis, QueryAnalysis, SystemMeasurement};
 pub use approx::ApproximateExecution;
 pub use checker::{Checker, CoverageResult, FetchStep};
 pub use executor::{
-    execute_bounded, execute_bounded_with, execute_ctx, execute_ctx_with, BoundedExecution,
-    CtxResult, FetchConfig, PARALLEL_FETCH_MIN_KEYS,
+    execute_bounded_with, execute_ctx_with, BoundedExecution, CtxResult, FetchConfig,
+    PARALLEL_FETCH_MIN_KEYS,
 };
 pub use graph::{Atom, QueryGraph};
 pub use partial::{
-    execute_partially_bounded, execute_partially_bounded_with, PartialExecution, PartialOptions,
-    ReductionSaving, DEFAULT_REDUCTION_MIN_SAVINGS,
+    execute_partially_bounded, PartialExecution, PartialOptions, ReductionSaving,
+    DEFAULT_REDUCTION_MIN_SAVINGS,
 };
 pub use plan::{BoundedPlan, KeySource, PlannedFetch};
 pub use planner::{generate_bounded_plan, generate_plan_for_steps};

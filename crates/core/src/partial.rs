@@ -110,32 +110,6 @@ impl PartialExecution {
     }
 }
 
-/// Execute a non-covered query as a partially bounded plan.
-///
-/// `coverage` must come from the checker for the same query.  Atoms in
-/// `coverage.covered_atoms` are materialized from the bounded context; the
-/// rest of the query runs on `engine` against a database in which those
-/// relations have been swapped for their bounded subsets.
-pub fn execute_partially_bounded(
-    db: &Database,
-    engine: &Engine,
-    query: &BoundQuery,
-    graph: &QueryGraph,
-    coverage: &CoverageResult,
-    indexes: &beas_access::AccessIndexes,
-) -> Result<PartialExecution> {
-    execute_partially_bounded_with(
-        db,
-        engine,
-        query,
-        graph,
-        coverage,
-        indexes,
-        PartialOptions::default(),
-        None,
-    )
-}
-
 /// Pure conventional fallback: the whole query runs on `engine`, nothing is
 /// reduced.  Shared by the nothing-coverable path and the cost gate.
 fn run_fallback(
@@ -145,7 +119,7 @@ fn run_fallback(
     quota: Option<&QuotaTracker>,
     bounded_metrics: ExecutionMetrics,
 ) -> Result<PartialExecution> {
-    let result = engine.run_bound_with_quota(db, query, quota)?;
+    let result = engine.run_bound(db, query, quota)?;
     Ok(PartialExecution {
         rows: result.rows,
         bounded_metrics,
@@ -192,11 +166,16 @@ fn predicted_fetch_rows(db: &Database, query: &BoundQuery, fetch: &PlannedFetch)
     Ok(per_key.saturating_mul(key_combos).min(rows))
 }
 
-/// [`execute_partially_bounded`] with explicit tuning and an optional
-/// session quota (charged by the bounded fetches and by the residual
-/// engine's scans alike).
+/// Execute a non-covered query as a partially bounded plan.
+///
+/// `coverage` must come from the checker for the same query.  Atoms in
+/// `coverage.covered_atoms` are materialized from the bounded context; the
+/// rest of the query runs on `engine` against a database in which those
+/// relations have been swapped for their bounded subsets.  `options`
+/// carries the cost gate; `quota` is charged by the bounded fetches and by
+/// the residual engine's scans alike.
 #[allow(clippy::too_many_arguments)]
-pub fn execute_partially_bounded_with(
+pub fn execute_partially_bounded(
     db: &Database,
     engine: &Engine,
     query: &BoundQuery,
@@ -358,7 +337,7 @@ pub fn execute_partially_bounded_with(
 
     // 3. Residual stage: run the original SQL on the reduced database.
     let rebound = Binder::new(&reduced).bind(&query.ast)?;
-    let result = engine.run_bound_with_quota(&reduced, &rebound, quota)?;
+    let result = engine.run_bound(&reduced, &rebound, quota)?;
 
     // Surface the per-relation reduction savings in the bounded-stage
     // metrics report: this is the Q11 telemetry — a reduction with a tiny
@@ -562,17 +541,9 @@ mod tests {
         (db, schema, indexes)
     }
 
+    /// Run with the cost gate disabled (`PartialOptions::default()`).
     fn run_partial(sql: &str) -> (PartialExecution, Vec<Row>) {
-        let (db, schema, indexes) = setup();
-        let engine = Engine::default();
-        let bound = Binder::new(&db).bind(&parse_select(sql).unwrap()).unwrap();
-        let graph = QueryGraph::build(&bound).unwrap();
-        let coverage = Checker::new(&schema).check(&bound, &graph);
-        assert!(!coverage.covered);
-        let partial =
-            execute_partially_bounded(&db, &engine, &bound, &graph, &coverage, &indexes).unwrap();
-        let baseline = engine.run(&db, sql).unwrap();
-        (partial, baseline.rows)
+        run_partial_gated(sql, PartialOptions::default().reduction_min_savings)
     }
 
     #[test]
@@ -636,8 +607,17 @@ mod tests {
         )
         .unwrap()]);
         let coverage = Checker::new(&schema).check(&bound, &graph);
-        let partial =
-            execute_partially_bounded(&db, &engine, &bound, &graph, &coverage, &indexes).unwrap();
+        let partial = execute_partially_bounded(
+            &db,
+            &engine,
+            &bound,
+            &graph,
+            &coverage,
+            &indexes,
+            PartialOptions::default(),
+            None,
+        )
+        .unwrap();
         assert!(partial.reduced_relations.is_empty());
         assert_eq!(partial.tuples_fetched, 0);
         let baseline = engine.run(&db, sql).unwrap();
@@ -665,8 +645,17 @@ mod tests {
         let graph = QueryGraph::build(&bound).unwrap();
         let coverage = Checker::new(&schema).check(&bound, &graph);
         assert!(!coverage.covered);
-        let partial =
-            execute_partially_bounded(&db, &engine, &bound, &graph, &coverage, &indexes).unwrap();
+        let partial = execute_partially_bounded(
+            &db,
+            &engine,
+            &bound,
+            &graph,
+            &coverage,
+            &indexes,
+            PartialOptions::default(),
+            None,
+        )
+        .unwrap();
         let baseline = engine.run(&db, sql).unwrap();
         // answers agree — the duplicated bank double-counts on both paths
         assert_eq!(partial.rows, baseline.rows);
@@ -685,7 +674,7 @@ mod tests {
         let options = PartialOptions {
             reduction_min_savings: threshold,
         };
-        let partial = execute_partially_bounded_with(
+        let partial = execute_partially_bounded(
             &db, &engine, &bound, &graph, &coverage, &indexes, options, None,
         )
         .unwrap();
@@ -755,7 +744,7 @@ mod tests {
         let options = PartialOptions {
             reduction_min_savings: DEFAULT_REDUCTION_MIN_SAVINGS,
         };
-        let partial = execute_partially_bounded_with(
+        let partial = execute_partially_bounded(
             &db, &engine, &bound, &graph, &coverage, &indexes, options, None,
         )
         .unwrap();
@@ -783,7 +772,7 @@ mod tests {
         let tracker = beas_common::ResourceQuota::unlimited()
             .with_max_tuples(1)
             .tracker();
-        let err = execute_partially_bounded_with(
+        let err = execute_partially_bounded(
             &db,
             &engine,
             &bound,

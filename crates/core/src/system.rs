@@ -10,14 +10,12 @@
 //!    plans, everything else runs as a partially bounded plan over the
 //!    conventional engine, exactly as described in §3 of the paper.
 
-use crate::analyzer::{PerformanceAnalysis, QueryAnalysis, SystemMeasurement};
+use crate::analyzer::{BaselineAnalysis, QueryAnalysis, SystemMeasurement};
 use crate::approx::{execute_with_budget, ApproximateExecution};
 use crate::checker::{Checker, CoverageResult};
 use crate::executor::{execute_program, FetchConfig};
 use crate::graph::QueryGraph;
-use crate::partial::{
-    execute_partially_bounded_with, PartialOptions, DEFAULT_REDUCTION_MIN_SAVINGS,
-};
+use crate::partial::{execute_partially_bounded, PartialOptions, DEFAULT_REDUCTION_MIN_SAVINGS};
 use crate::plan::{BoundedPlan, FetchProgram};
 use crate::planner::generate_bounded_plan;
 use beas_access::{
@@ -25,9 +23,7 @@ use beas_access::{
     MaintenanceOutcome, MaintenancePolicy,
 };
 use beas_common::{BeasError, QuotaTracker, Result, Row, Schema};
-use beas_engine::{
-    Engine, ExecProfile, ExecutionMetrics, OptimizerProfile, ParallelConfig, PlanCacheStats,
-};
+use beas_engine::{Engine, ExecutionMetrics, OptimizerProfile, PlanCacheStats};
 use beas_sql::{parse_select, Binder, BoundQuery};
 use beas_storage::Database;
 use std::collections::HashMap;
@@ -248,22 +244,30 @@ impl PlanCache {
 
 /// Normalize SQL text into a cache key: `--` line comments are dropped,
 /// whitespace runs collapse to one space, and everything *outside*
-/// single-quoted literals is lowercased, so reformatted or re-cased
-/// submissions of the same query share an entry.  Literal contents are
-/// preserved byte-for-byte — `'East'` and `'east'` are different queries.
+/// single-quoted literals and double-quoted identifiers is ASCII-lowercased
+/// (as the lexer does), so reformatted or re-cased submissions of the same
+/// query share an entry.  Literal contents are preserved byte-for-byte —
+/// `'East'` and `'east'` are different queries.  Quoted identifiers keep
+/// their whitespace and any `--` and are only ASCII-lowercased, again as the
+/// lexer reads them — `"a  b"` and `"a b"` are different columns.
 /// Comments must be stripped, not kept: an apostrophe inside one would
 /// otherwise flip the literal tracking and let different queries collide
 /// on one cache key.
 fn normalize_sql(sql: &str) -> String {
     let mut out = String::with_capacity(sql.len());
     let mut chars = sql.chars().peekable();
-    let mut in_literal = false;
+    // The closing quote of the literal or identifier being copied.
+    let mut quoted: Option<char> = None;
     let mut pending_space = false;
     while let Some(c) = chars.next() {
-        if in_literal {
-            out.push(c);
-            if c == '\'' {
-                in_literal = false;
+        if let Some(close) = quoted {
+            out.push(if close == '"' {
+                c.to_ascii_lowercase()
+            } else {
+                c
+            });
+            if c == close {
+                quoted = None;
             }
             continue;
         }
@@ -277,7 +281,7 @@ fn normalize_sql(sql: &str) -> String {
             pending_space = true;
             continue;
         }
-        if c.is_whitespace() {
+        if c.is_ascii_whitespace() {
             pending_space = true;
             continue;
         }
@@ -285,12 +289,10 @@ fn normalize_sql(sql: &str) -> String {
             out.push(' ');
         }
         pending_space = false;
-        if c == '\'' {
-            in_literal = true;
-            out.push(c);
-        } else {
-            out.extend(c.to_lowercase());
+        if c == '\'' || c == '"' {
+            quoted = Some(c);
         }
+        out.push(c.to_ascii_lowercase());
     }
     out
 }
@@ -308,7 +310,6 @@ pub struct BeasSystem {
     db: Database,
     schema: AccessSchema,
     indexes: AccessIndexes,
-    fallback: Engine,
     /// Shared across [`BeasSystem::fork`]ed copies: forks of one lineage
     /// serve one logical cache (entries are validated against the
     /// per-table generations in their read set, so a fork at an older
@@ -327,7 +328,6 @@ impl BeasSystem {
             db,
             schema,
             indexes,
-            fallback: Engine::new(OptimizerProfile::PgLike),
             plan_cache: Arc::new(PlanCache::default()),
             maintenance_policy: MaintenancePolicy::Strict,
             reduction_min_savings: DEFAULT_REDUCTION_MIN_SAVINGS,
@@ -357,7 +357,6 @@ impl BeasSystem {
             db: self.db.clone(),
             schema: self.schema.clone(),
             indexes: self.indexes.clone(),
-            fallback: self.fallback,
             plan_cache: Arc::clone(&self.plan_cache),
             maintenance_policy: self.maintenance_policy,
             reduction_min_savings: self.reduction_min_savings,
@@ -378,48 +377,6 @@ impl BeasSystem {
     ) -> Result<Self> {
         let (schema, _) = discover(&db, workload, config)?;
         BeasSystem::with_schema(db, schema)
-    }
-
-    /// Replace the conventional engine used for fallback / residual plans.
-    pub fn with_fallback_profile(mut self, profile: OptimizerProfile) -> Self {
-        self.fallback = Engine::new(profile)
-            .with_parallelism(self.fallback.parallelism())
-            .with_exec_profile(self.fallback.exec_profile());
-        self
-    }
-
-    /// Configure morsel-driven parallelism for the fallback engine (the
-    /// conventional engine that runs uncovered queries and the unbounded
-    /// residue of partially bounded plans).
-    ///
-    /// Parallelism is a *physical* execution property: cached plans stay
-    /// valid across knob changes — the plan cache stores logical prepared
-    /// queries and the exchange decision is made at execution time from the
-    /// engine's current configuration — so no cache invalidation happens
-    /// here, and answers are identical under every configuration.
-    pub fn with_parallel_fallback(mut self, parallel: ParallelConfig) -> Self {
-        self.fallback = self.fallback.with_parallelism(parallel);
-        self
-    }
-
-    /// The fallback engine's morsel-parallelism configuration.
-    pub fn parallel_fallback(&self) -> ParallelConfig {
-        self.fallback.parallelism()
-    }
-
-    /// Choose how the fallback engine *executes* plans: the columnar kernel
-    /// path (the default) or the row-at-a-time reference pipeline.  Like
-    /// parallelism this is a physical property — answers, order, errors and
-    /// tuple accounting are identical under every profile, and cached plans
-    /// stay valid across knob changes.
-    pub fn with_exec_fallback(mut self, exec: ExecProfile) -> Self {
-        self.fallback = self.fallback.with_exec_profile(exec);
-        self
-    }
-
-    /// The fallback engine's execution profile.
-    pub fn exec_fallback(&self) -> ExecProfile {
-        self.fallback.exec_profile()
     }
 
     /// The bounded fetch stage's tuning: always [`FetchConfig::default`].
@@ -465,7 +422,7 @@ impl BeasSystem {
     }
 
     /// Parse and bind a SQL query.
-    pub fn bind(&self, sql: &str) -> Result<BoundQuery> {
+    fn bind(&self, sql: &str) -> Result<BoundQuery> {
         let stmt = parse_select(sql)?;
         Binder::new(&self.db).bind(&stmt)
     }
@@ -562,17 +519,10 @@ impl BeasSystem {
     }
 
     /// Estimated tuples a conventional (or partially bounded) evaluation of
-    /// `sql` would access.  A planner *estimate*, not a guarantee —
-    /// admission control uses it to route uncovered queries against a
-    /// session budget; the runtime quota is what actually enforces the
-    /// budget.  Served from the plan cache.
-    pub fn estimate_conventional_tuples(&self, sql: &str) -> Result<u64> {
-        let prepared = self.prepare(sql)?;
-        self.estimate_conventional_tuples_prepared(&prepared)
-    }
-
-    /// Join-aware variant of [`BeasSystem::estimate_conventional_tuples`]
-    /// over an already-prepared query.
+    /// a prepared query would access.  A planner *estimate*, not a
+    /// guarantee — admission control uses it to route uncovered queries
+    /// against a session budget; the runtime quota is what actually
+    /// enforces the budget.
     ///
     /// Two components, the larger wins:
     ///
@@ -707,33 +657,15 @@ impl BeasSystem {
         self.execute_prepared(&prepared, None)
     }
 
-    /// Execute `sql` under a session [`QuotaTracker`]: every base-data
-    /// access — bounded fetches, partial residues, conventional scans — is
-    /// charged against the tracker as it happens, and a trip terminates the
-    /// query early with [`BeasError::QuotaExceeded`].  This is the runtime
-    /// half of the budget contract; the up-front half is
+    /// Execute a prepared (possibly cached) query under an optional session
+    /// [`QuotaTracker`]: every base-data access — bounded fetches, partial
+    /// residues, conventional scans — is charged against the tracker as it
+    /// happens, and a trip terminates the query early with
+    /// [`BeasError::QuotaExceeded`].  This is the runtime half of the
+    /// budget contract; the up-front half is
     /// [`BeasSystem::can_answer_within`] / the service's admission control.
-    pub fn execute_sql_with_quota(
-        &self,
-        sql: &str,
-        quota: Option<&QuotaTracker>,
-    ) -> Result<ExecutionOutcome> {
-        let prepared = self.prepare(sql)?;
-        self.execute_prepared(&prepared, quota)
-    }
-
-    /// Execute an already-bound query (bypasses the plan cache — the query
-    /// was bound outside the system, so there is no SQL text to key on).
-    pub fn execute_bound_query(&self, query: &BoundQuery) -> Result<ExecutionOutcome> {
-        let prepared = self.prepare_bound(query.clone())?;
-        self.execute_prepared(&prepared, None)
-    }
-
-    /// Execute a prepared (possibly cached) query under an optional quota.
-    /// With [`BeasSystem::prepare`] this is the two-call form of
-    /// [`BeasSystem::execute_sql_with_quota`]: a service that already
-    /// prepared the query for admission control executes the same `Arc`
-    /// without a second plan-cache acquisition.
+    /// A service that already prepared the query for admission control
+    /// executes the same `Arc` without a second plan-cache acquisition.
     pub fn execute_prepared(
         &self,
         prepared: &PreparedQuery,
@@ -758,9 +690,9 @@ impl BeasSystem {
             });
         }
         // Partially bounded (or conventional) evaluation.
-        let partial = execute_partially_bounded_with(
+        let partial = execute_partially_bounded(
             &self.db,
-            &self.fallback,
+            &Engine::default(),
             query,
             graph,
             coverage,
@@ -789,22 +721,6 @@ impl BeasSystem {
             constraints_used: coverage.constraints_used().len(),
             metrics,
         })
-    }
-
-    /// Execute `sql` only if its deduced bound fits within `budget` tuples;
-    /// otherwise return [`BeasError::BudgetExceeded`].
-    pub fn execute_within_budget(&self, sql: &str, budget: u64) -> Result<ExecutionOutcome> {
-        let report = self.check(sql)?;
-        match report.deduced_bound {
-            Some(bound) if bound <= budget => self.execute_sql(sql),
-            Some(bound) => Err(BeasError::BudgetExceeded {
-                required: bound,
-                budget,
-            }),
-            None => Err(BeasError::not_bounded(
-                "query is not boundedly evaluable; no bound can be guaranteed".to_string(),
-            )),
-        }
     }
 
     /// Choose the policy applied when maintenance writes would violate a
@@ -925,21 +841,6 @@ impl BeasSystem {
         Ok(changes)
     }
 
-    /// Mutable access to the underlying database for bulk loads.  Any
-    /// mutation bumps the write generation (invalidating cached plans), but
-    /// bypasses index maintenance — call [`BeasSystem::rebuild_indexes`]
-    /// afterwards, or use [`BeasSystem::insert_rows`] /
-    /// [`BeasSystem::delete_rows`] for incrementally maintained writes.
-    pub fn database_mut(&mut self) -> &mut Database {
-        &mut self.db
-    }
-
-    /// Rebuild every constraint index from the current database contents.
-    pub fn rebuild_indexes(&mut self) -> Result<()> {
-        self.indexes = build_indexes(&self.db, &self.schema)?;
-        Ok(())
-    }
-
     /// Resource-bounded approximation: answer a covered `sql` while
     /// fetching at most `budget` tuples, reporting a deterministic coverage
     /// lower bound.  The query runs its cached compiled program with a
@@ -976,71 +877,39 @@ impl BeasSystem {
         )
     }
 
-    /// EXPLAIN ANALYZE through the whole system: execute `sql` through
-    /// BEAS (bounded when covered, partially bounded / conventional
-    /// otherwise) and once more on the fallback engine with per-operator
-    /// timing forced on, returning the two breakdowns side by side — the
-    /// BEAS fetch pipeline flat, the baseline as the Fig. 3-style operator
-    /// tree (including `Exchange(..)` / `Vectorized(..)` annotations when
-    /// those physical paths ran).
+    /// The Fig. 3 report: execute `sql` through BEAS (bounded when
+    /// covered, partially bounded / conventional otherwise) and run
+    /// `EXPLAIN ANALYZE` on the conventional engine under every
+    /// [`OptimizerProfile`], returning the BEAS fetch pipeline flat and each
+    /// baseline as its per-operator tree (including `Exchange(..)` /
+    /// `Vectorized(..)` annotations when those physical paths ran).
     ///
-    /// Timing on the baseline is forced per-pipeline, not by flipping the
+    /// Timing on the baselines is forced per-pipeline, not by flipping the
     /// global [`beas_obs::TraceLevel`], so concurrent sessions keep their
     /// configured level; the BEAS executor's fetch/finalize stages time
     /// their blocking phases unconditionally.
     pub fn explain_analyze(&self, sql: &str) -> Result<QueryAnalysis> {
         let outcome = self.execute_sql(sql)?;
-        let baseline = self.fallback.explain_analyze(&self.db, sql)?;
+        let baselines = OptimizerProfile::all()
+            .into_iter()
+            .map(|profile| {
+                let run = Engine::new(profile).explain_analyze(&self.db, sql)?;
+                Ok(BaselineAnalysis {
+                    measurement: SystemMeasurement::new(
+                        SystemMeasurement::baseline_label(profile),
+                        run.result.metrics,
+                        run.result.rows.len() as u64,
+                    ),
+                    tree: run.tree,
+                })
+            })
+            .collect::<Result<Vec<_>>>()?;
         Ok(QueryAnalysis {
             sql: sql.to_string(),
             mode: outcome.mode,
             deduced_bound: outcome.deduced_bound,
             constraints_used: outcome.constraints_used,
-            beas: SystemMeasurement::new(
-                "BEAS",
-                outcome.metrics.clone(),
-                outcome.rows.len() as u64,
-            ),
-            baseline: SystemMeasurement::new(
-                SystemMeasurement::baseline_label(self.fallback.profile()),
-                baseline.result.metrics.clone(),
-                baseline.result.rows.len() as u64,
-            ),
-            baseline_tree: baseline.tree,
-        })
-    }
-
-    /// Run `sql` through BEAS and through the baseline engine under every
-    /// optimizer profile, producing a Fig. 3-style performance analysis.
-    pub fn analyze(&self, sql: &str) -> Result<PerformanceAnalysis> {
-        self.analyze_against(sql, &OptimizerProfile::all())
-    }
-
-    /// Like [`BeasSystem::analyze`] but against a chosen set of baselines.
-    pub fn analyze_against(
-        &self,
-        sql: &str,
-        profiles: &[OptimizerProfile],
-    ) -> Result<PerformanceAnalysis> {
-        let outcome = self.execute_sql(sql)?;
-        let beas =
-            SystemMeasurement::new("BEAS", outcome.metrics.clone(), outcome.rows.len() as u64);
-        let mut baselines = Vec::new();
-        for profile in profiles {
-            let engine = Engine::new(*profile);
-            let result = engine.run(&self.db, sql)?;
-            baselines.push(SystemMeasurement::new(
-                SystemMeasurement::baseline_label(*profile),
-                result.metrics,
-                result.rows.len() as u64,
-            ));
-        }
-        Ok(PerformanceAnalysis {
-            sql: sql.to_string(),
-            bounded: outcome.bounded,
-            constraints_used: outcome.constraints_used,
-            deduced_bound: outcome.deduced_bound,
-            beas,
+            beas: SystemMeasurement::new("BEAS", outcome.metrics, outcome.rows.len() as u64),
             baselines,
         })
     }
@@ -1314,22 +1183,21 @@ mod tests {
         use beas_common::ResourceQuota;
         let beas = system();
         // bounded path: generous quota passes and accounts exactly
+        let covered = beas.prepare(COVERED).unwrap();
         let tracker = ResourceQuota::unlimited().with_max_tuples(1000).tracker();
-        let outcome = beas
-            .execute_sql_with_quota(COVERED, Some(&tracker))
-            .unwrap();
+        let outcome = beas.execute_prepared(&covered, Some(&tracker)).unwrap();
         assert!(outcome.bounded);
         assert_eq!(tracker.tuples_used(), outcome.tuples_accessed);
         // bounded path: tight quota trips mid-flight
         let tight = ResourceQuota::unlimited().with_max_tuples(2).tracker();
         let err = beas
-            .execute_sql_with_quota(COVERED, Some(&tight))
+            .execute_prepared(&covered, Some(&tight))
             .expect_err("2 tuples cannot cover the bounded fetches");
         assert_eq!(err.kind(), "quota_exceeded");
         // fallback (conventional) path: the baseline scan trips too
         let tight = ResourceQuota::unlimited().with_max_tuples(5).tracker();
         let err = beas
-            .execute_sql_with_quota(UNCOVERED, Some(&tight))
+            .execute_prepared(&beas.prepare(UNCOVERED).unwrap(), Some(&tight))
             .expect_err("5 tuples cannot cover the 60-row scans");
         assert_eq!(err.kind(), "quota_exceeded");
         assert!(tight.is_tripped());
@@ -1341,10 +1209,6 @@ mod tests {
         assert!(beas.can_answer_within(COVERED, 10_000_000).unwrap());
         assert!(!beas.can_answer_within(COVERED, 10).unwrap());
         assert!(!beas.can_answer_within(UNCOVERED, 10_000_000).unwrap());
-        let err = beas.execute_within_budget(COVERED, 10).unwrap_err();
-        assert_eq!(err.kind(), "budget_exceeded");
-        assert!(beas.execute_within_budget(COVERED, 10_000_000).is_ok());
-        assert!(beas.execute_within_budget(UNCOVERED, 10_000_000).is_err());
     }
 
     #[test]
@@ -1371,49 +1235,52 @@ mod tests {
     }
 
     #[test]
-    fn explain_analyze_renders_both_engines() {
+    fn explain_analyze_reports_beas_against_every_baseline() {
+        // The EXPLAIN text of a tree: one label per line, two spaces of
+        // indentation per level.
+        fn labels(node: &beas_engine::AnalyzeNode, depth: usize, out: &mut String) {
+            out.push_str(&format!("{}{}\n", "  ".repeat(depth), node.label));
+            for child in &node.children {
+                labels(child, depth + 1, out);
+            }
+        }
         let beas = system();
-        // Covered: bounded fetch pipeline vs the baseline operator tree.
+        // Covered: bounded fetch pipeline vs every baseline operator tree.
         let covered = beas.explain_analyze(COVERED).unwrap();
         assert!(covered.bounded());
         assert_eq!(covered.mode, EvaluationMode::Bounded);
-        assert!(covered.access_reduction() > 1.0);
+        assert_eq!(covered.baselines.len(), 3);
         let text = covered.render();
-        assert!(text.contains("evaluation: bounded"));
-        assert!(text.contains("Fetch("));
-        assert!(text.contains("EXPLAIN ANALYZE"));
-        assert!(text.contains("SeqScan(call"));
-        // The baseline tree matches the baseline plan shape.
-        assert_eq!(
-            covered.baseline_tree.label,
-            Engine::default()
-                .explain(beas.database(), COVERED)
-                .unwrap()
-                .lines()
-                .next()
-                .unwrap()
-        );
+        for needle in [
+            "evaluation: bounded",
+            "Fetch(",
+            "EXPLAIN ANALYZE",
+            "SeqScan(call",
+            "BEAS",
+            "PostgreSQL",
+            "tuples accessed",
+        ] {
+            assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
+        }
+        for (profile, baseline) in OptimizerProfile::all().into_iter().zip(&covered.baselines) {
+            // BEAS touches strictly less data than every conventional profile
+            assert!(covered.beas.tuples_accessed < baseline.measurement.tuples_accessed);
+            assert!(covered.access_reduction_over(&baseline.measurement) > 1.0);
+            // each tree has exactly the shape of its profile's plan
+            let mut tree = String::new();
+            labels(&baseline.tree, 0, &mut tree);
+            let explain = Engine::new(profile).explain(beas.database(), COVERED);
+            assert_eq!(tree, explain.unwrap(), "{profile:?}");
+            let heading = format!("-- {} EXPLAIN ANALYZE --", baseline.measurement.system);
+            assert!(text.contains(&heading), "missing {heading:?}");
+        }
         // Uncovered: falls through to partial/conventional, still analyzed.
         let uncovered = beas.explain_analyze(UNCOVERED).unwrap();
         assert!(!uncovered.bounded());
         assert!(uncovered.render().contains("evaluation: conventional"));
-        // Answers agree between the two timed runs.
-        assert_eq!(uncovered.beas.rows, uncovered.baseline.rows);
-    }
-
-    #[test]
-    fn analyze_produces_fig3_style_report() {
-        let beas = system();
-        let analysis = beas.analyze(COVERED).unwrap();
-        assert!(analysis.bounded);
-        assert_eq!(analysis.baselines.len(), 3);
-        let text = analysis.render();
-        assert!(text.contains("BEAS"));
-        assert!(text.contains("PostgreSQL"));
-        assert!(text.contains("tuples accessed"));
-        // BEAS touches strictly less data than every conventional profile
-        for b in &analysis.baselines {
-            assert!(analysis.beas.tuples_accessed < b.tuples_accessed);
+        // Answers agree between the timed runs.
+        for baseline in &uncovered.baselines {
+            assert_eq!(uncovered.beas.rows, baseline.measurement.rows);
         }
     }
 
@@ -1466,65 +1333,57 @@ mod tests {
         );
         // a comment at the very end (no trailing newline) is dropped too
         assert_eq!(normalize_sql("select 1 -- tail"), "select 1");
+        // quoted identifiers keep their whitespace and `--`, and are only
+        // ASCII-lowercased, as the lexer reads them
+        assert_ne!(
+            normalize_sql(r#"SELECT "a  b" FROM t"#),
+            normalize_sql(r#"SELECT "a b" FROM t"#)
+        );
+        assert_eq!(
+            normalize_sql("select \"A  B--c\" from t"),
+            "select \"a  b--c\" from t"
+        );
+        assert_eq!(
+            normalize_sql(r#"select "x'y" from t"#),
+            r#"select "x'y" from t"#
+        );
+        assert_eq!(
+            normalize_sql(r#"select 'x"y' from t"#),
+            r#"select 'x"y' from t"#
+        );
+        // lowercasing is ASCII only, inside quotes and out (so is the
+        // lexer's): `Ä` and `ä` stay distinct
+        assert_ne!(
+            normalize_sql("select \"Ä\" from t"),
+            normalize_sql("select \"ä\" from t")
+        );
+        assert_ne!(
+            normalize_sql("select Ä from t"),
+            normalize_sql("select ä from t")
+        );
     }
 
     #[test]
-    fn parallel_fallback_knob_keeps_answers_and_cached_plans() {
-        // A forced-parallel fallback engine must return exactly the serial
-        // answers, and flipping the knob must not disturb the plan cache
-        // (parallelism is decided at execution time, not plan time).
-        let parallel = ParallelConfig {
-            workers: 2,
-            min_rows: 0,
-            morsel_rows: 8,
-        };
-        let beas = system().with_parallel_fallback(parallel);
-        assert_eq!(beas.parallel_fallback(), parallel);
-        let first = beas.execute_sql(UNCOVERED).unwrap();
-        let reference = system().execute_sql(UNCOVERED).unwrap();
-        assert_eq!(first.rows, reference.rows);
-        // cached entry planned under the parallel engine is reused ...
-        let again = beas.execute_sql(UNCOVERED).unwrap();
-        assert_eq!(again.rows, first.rows);
-        assert_eq!(beas.plan_cache_stats().hits, 1);
-        // ... and survives a knob flip without invalidation
-        let beas = beas.with_parallel_fallback(ParallelConfig::serial());
-        let serial_again = beas.execute_sql(UNCOVERED).unwrap();
-        assert_eq!(serial_again.rows, first.rows);
-        let stats = beas.plan_cache_stats();
-        assert_eq!(stats.hits, 2);
-        assert_eq!(stats.invalidations, 0);
-        // profile changes preserve the parallel setting
-        let beas = beas.with_fallback_profile(OptimizerProfile::MySqlLike);
-        assert_eq!(beas.parallel_fallback(), ParallelConfig::serial());
-    }
-
-    #[test]
-    fn exec_fallback_knob_keeps_answers_and_cached_plans() {
-        // Same contract as the parallelism knob: the execution profile is a
-        // physical property, so answers match the default bit for bit and
-        // cached plans survive flips without invalidation.
-        let reference = system().execute_sql(UNCOVERED).unwrap();
-        for exec in ExecProfile::all() {
-            let beas = system().with_exec_fallback(exec);
-            assert_eq!(beas.exec_fallback(), exec);
-            let got = beas.execute_sql(UNCOVERED).unwrap();
-            assert_eq!(
-                format!("{:?}", got.rows),
-                format!("{:?}", reference.rows),
-                "{exec} answers must match the default"
-            );
-            let beas = beas.with_exec_fallback(ExecProfile::RowAtATime);
-            let flipped = beas.execute_sql(UNCOVERED).unwrap();
-            assert_eq!(flipped.rows, got.rows);
-            let stats = beas.plan_cache_stats();
-            assert_eq!(stats.hits, 1);
-            assert_eq!(stats.invalidations, 0);
-        }
-        // optimizer-profile changes preserve the execution profile
-        let beas = system().with_exec_fallback(ExecProfile::RowAtATime);
-        let beas = beas.with_fallback_profile(OptimizerProfile::MySqlLike);
-        assert_eq!(beas.exec_fallback(), ExecProfile::RowAtATime);
+    fn quoted_identifiers_that_differ_in_whitespace_are_distinct_plans() {
+        let mut db = Database::new();
+        db.create_table(
+            TableSchema::new(
+                "t",
+                vec![
+                    ColumnDef::new("a  b", DataType::Int),
+                    ColumnDef::new("a b", DataType::Int),
+                ],
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        db.insert("t", vec![Value::Int(1), Value::Int(2)]).unwrap();
+        let beas = BeasSystem::with_schema(db, AccessSchema::default()).unwrap();
+        let first = beas.execute_sql(r#"SELECT "a  b" FROM t"#).unwrap();
+        assert_eq!(first.rows, vec![vec![Value::Int(1)]]);
+        let second = beas.execute_sql(r#"SELECT "a b" FROM t"#).unwrap();
+        assert_eq!(second.rows, vec![vec![Value::Int(2)]]);
+        assert_eq!(beas.plan_cache_stats().hits, 0);
     }
 
     #[test]
@@ -1609,29 +1468,6 @@ mod tests {
     }
 
     #[test]
-    fn bulk_mutation_through_database_mut_invalidates_via_generation() {
-        let mut beas = system();
-        let before = beas.execute_sql(COVERED).unwrap();
-        // bulk-load outside maintenance, then rebuild indices
-        beas.database_mut()
-            .insert(
-                "call",
-                vec![
-                    Value::str("p0"),
-                    Value::str("rX"),
-                    Value::str("2016-07-04"),
-                    Value::str("west"),
-                    Value::Int(5),
-                ],
-            )
-            .unwrap();
-        beas.rebuild_indexes().unwrap();
-        let after = beas.execute_sql(COVERED).unwrap();
-        assert_eq!(after.rows.len(), before.rows.len() + 1);
-        assert!(beas.plan_cache_stats().invalidations >= 1);
-    }
-
-    #[test]
     fn writes_to_unrelated_tables_keep_cached_plans_live() {
         // Read-set validation: a write batch that never touches a plan's
         // tables must keep the entry serving hits — only writes to the
@@ -1698,19 +1534,20 @@ mod tests {
         // estimate must reflect the 500-row cross product, not the 60-row
         // scan floor.
         let cross = "select call.region from call, business where business.type = 'bank'";
-        let cross_est = beas.estimate_conventional_tuples(cross).unwrap();
+        let estimate = |sql| {
+            beas.estimate_conventional_tuples_prepared(&beas.prepare(sql).unwrap())
+                .unwrap()
+        };
+        let cross_est = estimate(cross);
         assert_eq!(cross_est, 500);
         // the same pair joined on pnum (10 distinct) stays near the scan
         // floor: 50 * 10 / 10 = 50 → floor 60 wins
         let keyed = "select call.region from call, business \
             where business.pnum = call.pnum and business.type = 'bank'";
-        let keyed_est = beas.estimate_conventional_tuples(keyed).unwrap();
+        let keyed_est = estimate(keyed);
         assert_eq!(keyed_est, 60);
         // single-table queries remain the plain row count
-        let single = beas
-            .estimate_conventional_tuples("select region from call")
-            .unwrap();
-        assert_eq!(single, 50);
+        assert_eq!(estimate("select region from call"), 50);
     }
 
     #[test]

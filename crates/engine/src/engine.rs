@@ -1,7 +1,7 @@
 //! The baseline engine facade: parse → bind → plan → execute.
 
 use crate::analyze::{analyze_tree, AnalyzeNode};
-use crate::executor::{execute_timed, execute_with_profile, ParallelConfig};
+use crate::executor::{execute, ParallelConfig};
 use crate::metrics::ExecutionMetrics;
 use crate::plan::LogicalPlan;
 use crate::planner::Planner;
@@ -86,22 +86,12 @@ impl Engine {
         self
     }
 
-    /// The engine's morsel-parallelism configuration.
-    pub fn parallelism(&self) -> ParallelConfig {
-        self.parallel
-    }
-
     /// Replace the execution profile (columnar kernels vs the row-at-a-time
     /// reference pipeline).  Like parallelism this is a physical property:
     /// answers, order, errors and tuple accounting never change.
     pub fn with_exec_profile(mut self, exec: ExecProfile) -> Self {
         self.exec = exec;
         self
-    }
-
-    /// The engine's execution profile.
-    pub fn exec_profile(&self) -> ExecProfile {
-        self.exec
     }
 
     /// Parse and bind a SQL string against `db`.
@@ -118,37 +108,23 @@ impl Engine {
     /// Run a SQL query end to end.
     pub fn run(&self, db: &Database, sql: &str) -> Result<QueryResult> {
         let bound = self.bind(db, sql)?;
-        self.run_bound(db, &bound)
+        self.run_bound(db, &bound, None)
     }
 
-    /// Run a SQL query end to end under a session [`QuotaTracker`]: base
-    /// data access is charged as it happens and a quota trip terminates the
-    /// query early with [`beas_common::BeasError::QuotaExceeded`].
-    pub fn run_with_quota(
-        &self,
-        db: &Database,
-        sql: &str,
-        quota: Option<&QuotaTracker>,
-    ) -> Result<QueryResult> {
-        let bound = self.bind(db, sql)?;
-        self.run_bound_with_quota(db, &bound, quota)
-    }
-
-    /// Run an already-bound query.
-    pub fn run_bound(&self, db: &Database, query: &BoundQuery) -> Result<QueryResult> {
-        self.run_bound_with_quota(db, query, None)
-    }
-
-    /// Run an already-bound query under an optional session quota.
-    pub fn run_bound_with_quota(
+    /// Run an already-bound query under an optional session
+    /// [`QuotaTracker`]: base data access is charged as it happens and a
+    /// quota trip terminates the query early with
+    /// [`beas_common::BeasError::QuotaExceeded`].
+    pub fn run_bound(
         &self,
         db: &Database,
         query: &BoundQuery,
         quota: Option<&QuotaTracker>,
     ) -> Result<QueryResult> {
         let plan = self.plan(db, query)?;
-        let mut metrics = ExecutionMetrics::new();
-        let rows = execute_with_profile(&plan, db, &mut metrics, self.parallel, self.exec, quota)?;
+        // The global trace level is read once per query, never per row.
+        let timing = beas_obs::trace_level().timing();
+        let (rows, metrics) = execute(&plan, db, self.parallel, self.exec, quota, timing)?;
         Ok(QueryResult {
             rows,
             schema: query.output_schema.clone(),
@@ -169,29 +145,9 @@ impl Engine {
     /// Timing is forced per-pipeline rather than by flipping the global
     /// knob, so concurrent sessions keep their configured level.
     pub fn explain_analyze(&self, db: &Database, sql: &str) -> Result<EngineAnalysis> {
-        self.explain_analyze_with_quota(db, sql, None)
-    }
-
-    /// [`Engine::explain_analyze`] under an optional session quota: the
-    /// analyzed run charges and trips exactly like [`Engine::run_with_quota`].
-    pub fn explain_analyze_with_quota(
-        &self,
-        db: &Database,
-        sql: &str,
-        quota: Option<&QuotaTracker>,
-    ) -> Result<EngineAnalysis> {
         let bound = self.bind(db, sql)?;
         let plan = self.plan(db, &bound)?;
-        let mut metrics = ExecutionMetrics::new();
-        let rows = execute_timed(
-            &plan,
-            db,
-            &mut metrics,
-            self.parallel,
-            self.exec,
-            quota,
-            true,
-        )?;
+        let (rows, metrics) = execute(&plan, db, self.parallel, self.exec, None, true)?;
         let tree = analyze_tree(&plan, &metrics)?;
         Ok(EngineAnalysis {
             plan_text: plan.explain(),

@@ -154,85 +154,34 @@ impl ParallelConfig {
     }
 }
 
-/// Execute a logical plan against a database on the serial reference
-/// pipeline, recording metrics.
-pub fn execute(
-    plan: &LogicalPlan,
-    db: &Database,
-    metrics: &mut ExecutionMetrics,
-) -> Result<Vec<Row>> {
-    execute_with(plan, db, metrics, ParallelConfig::serial())
-}
-
-/// Execute a logical plan, parallelizing eligible scan fragments according
-/// to `parallel`.  Answers — rows, order, error propagation — are identical
-/// to [`execute`] for every plan and configuration.
-pub fn execute_with(
-    plan: &LogicalPlan,
-    db: &Database,
-    metrics: &mut ExecutionMetrics,
-    parallel: ParallelConfig,
-) -> Result<Vec<Row>> {
-    execute_with_quota(plan, db, metrics, parallel, None)
-}
-
-/// Execute a logical plan under an optional session [`QuotaTracker`]:
-/// base-table access is charged against the quota as it happens — per row on
-/// the serial scan, per morsel on the parallel exchange — so an in-flight
-/// query that exceeds its tuple budget (or deadline) terminates early with
-/// [`BeasError::QuotaExceeded`] instead of running to completion.
+/// Execute a logical plan against a database: the one entry point of the
+/// baseline executor, reached through [`crate::Engine`].
 ///
-/// Quota trips are *cooperative* cancellation, not a deterministic error
-/// position: the parallel path may observe the trip at a different morsel
-/// than the serial path, but the error kind — and the fact that the budget
-/// is never exceeded by more than one scheduling quantum — are identical.
-pub fn execute_with_quota(
+/// * `parallel` parallelizes eligible scan fragments; answers — rows,
+///   order, error propagation — are identical under every configuration.
+/// * `exec` picks row-at-a-time or columnar kernels for leaf fragments;
+///   rows, order, error kind and position, `tuples_accessed` and quota
+///   charging are identical across profiles (`tests/vectorized_semantics.rs`).
+/// * `quota` is charged as base data is accessed — per row on the serial
+///   scan, per morsel on the parallel exchange — so a query that exceeds
+///   its tuple budget (or deadline) stops early with
+///   [`beas_common::BeasError::QuotaExceeded`].  The parallel path may
+///   observe the trip at a different morsel than the serial one, but the
+///   error kind is the same and the budget is never exceeded by more than
+///   one scheduling quantum.
+/// * `timing` on makes every streaming operator accumulate its *inclusive*
+///   elapsed time (PostgreSQL `EXPLAIN ANALYZE` convention); off, streaming
+///   operators report `Duration::ZERO` and only blocking phases (join
+///   build, sort, aggregate fold, exchange run) carry elapsed times.
+///   Timing adds clock reads, never work.
+pub(crate) fn execute(
     plan: &LogicalPlan,
     db: &Database,
-    metrics: &mut ExecutionMetrics,
-    parallel: ParallelConfig,
-    quota: Option<&QuotaTracker>,
-) -> Result<Vec<Row>> {
-    execute_with_profile(plan, db, metrics, parallel, ExecProfile::default(), quota)
-}
-
-/// Execute a logical plan under an explicit [`ExecProfile`]: the vectorized
-/// profiles evaluate covered leaf fragments with columnar kernels over
-/// per-morsel [`beas_common::ColumnBatch`]es, falling back to the row path
-/// per morsel for uncovered shapes or kernel errors.  Rows, order, error
-/// kind and position, `tuples_accessed` and quota charging are identical
-/// across profiles by construction (`tests/vectorized_semantics.rs`).
-pub fn execute_with_profile(
-    plan: &LogicalPlan,
-    db: &Database,
-    metrics: &mut ExecutionMetrics,
-    parallel: ParallelConfig,
-    exec: ExecProfile,
-    quota: Option<&QuotaTracker>,
-) -> Result<Vec<Row>> {
-    // The global trace level is read once per query, never per row.
-    let timing = beas_obs::trace_level().timing();
-    execute_timed(plan, db, metrics, parallel, exec, quota, timing)
-}
-
-/// [`execute_with_profile`] with per-operator timing forced on or off
-/// instead of read from the global [`beas_obs::TraceLevel`].  With `timing`
-/// on, every streaming operator accumulates its *inclusive* elapsed time
-/// (time spent pulling from inputs included, PostgreSQL `EXPLAIN ANALYZE`
-/// convention) into its [`ExecutionMetrics`] line; with it off, streaming
-/// operators report `Duration::ZERO` and only blocking phases (join build,
-/// sort, aggregate fold, exchange run) carry elapsed times.  Answers are
-/// identical either way — timing adds clock reads, never work.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_timed(
-    plan: &LogicalPlan,
-    db: &Database,
-    metrics: &mut ExecutionMetrics,
     parallel: ParallelConfig,
     exec: ExecProfile,
     quota: Option<&QuotaTracker>,
     timing: bool,
-) -> Result<Vec<Row>> {
+) -> Result<(Vec<Row>, ExecutionMetrics)> {
     let start = clock::now();
     let ctx = BuildCtx {
         parallel,
@@ -249,9 +198,10 @@ pub fn execute_timed(
     while let Some(row) = root.next()? {
         out.push(row.into_row());
     }
-    root.record(metrics);
+    let mut metrics = ExecutionMetrics::new();
+    root.record(&mut metrics);
     metrics.elapsed = start.elapsed();
-    Ok(out)
+    Ok((out, metrics))
 }
 
 /// An executable operator: a row stream that can also report its metrics
@@ -1221,7 +1171,7 @@ fn try_vectorized<'a>(
 /// — the same cumulative counts and the same trip point as the serial
 /// per-pull charge — and a trip discards the morsel's output before
 /// anything is emitted (partial output never escapes
-/// [`execute_with_profile`] on error, so the discard is unobservable).  A
+/// [`execute`] on error, so the discard is unobservable).  A
 /// fallback morsel interleaves charge-then-evaluate per row like the serial
 /// pipeline, so the ordering of quota trips versus evaluation errors is
 /// preserved even mid-morsel.
@@ -2682,9 +2632,9 @@ mod tests {
         let sql = "select id from t where v >= 0";
         for cfg in [ParallelConfig::serial(), tiny_morsels()] {
             let tracker = ResourceQuota::unlimited().with_max_tuples(50).tracker();
-            let err = crate::engine::Engine::default()
-                .with_parallelism(cfg)
-                .run_with_quota(&db, sql, Some(&tracker))
+            let engine = crate::engine::Engine::default().with_parallelism(cfg);
+            let err = engine
+                .run_bound(&db, &engine.bind(&db, sql).unwrap(), Some(&tracker))
                 .expect_err("a 50-tuple quota cannot survive a 200-row scan");
             assert_eq!(err.kind(), "quota_exceeded");
             assert!(tracker.is_tripped());
@@ -2694,8 +2644,9 @@ mod tests {
         }
         // a sufficient quota answers normally and accounts for every access
         let tracker = ResourceQuota::unlimited().with_max_tuples(10_000).tracker();
-        let res = crate::engine::Engine::default()
-            .run_with_quota(&db, sql, Some(&tracker))
+        let engine = crate::engine::Engine::default();
+        let res = engine
+            .run_bound(&db, &engine.bind(&db, sql).unwrap(), Some(&tracker))
             .unwrap();
         assert_eq!(res.rows.len(), 200);
         assert_eq!(tracker.tuples_used(), 200);

@@ -24,10 +24,7 @@ pub(crate) mod vectorized;
 
 pub use analyze::{analyze_tree, AnalyzeNode};
 pub use engine::{Engine, EngineAnalysis, QueryResult};
-pub use executor::{
-    aggregate, execute, execute_timed, execute_with, execute_with_profile, execute_with_quota,
-    ParallelConfig, PARALLEL_SCAN_MAX_WORKERS, PARALLEL_SCAN_MIN_ROWS,
-};
+pub use executor::{aggregate, ParallelConfig, PARALLEL_SCAN_MAX_WORKERS, PARALLEL_SCAN_MIN_ROWS};
 pub use metrics::{
     format_duration, ExecutionMetrics, MorselStats, OperatorMetrics, PlanCacheStats,
 };

@@ -540,7 +540,7 @@ fn check_l004(sig: &[&Token], ctx: &FileContext, findings: &mut Vec<Finding>) {
                 message: format!(
                     "direct storage mutation `.{}(..)` outside the storage \
                      crate / maintenance facade; go through \
-                     `BeasSystem::{{insert_rows,delete_rows,database_mut}}` \
+                     `BeasSystem::{{insert_rows,delete_rows}}` \
                      or `Maintainer`",
                     t.text
                 ),

@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Duration;
 
 /// A published snapshot, pinned for garbage-collection accounting.
@@ -275,7 +275,6 @@ pub struct SessionOutcome {
 
 impl QueryService {
     /// Wrap a configured system (knobs like
-    /// [`BeasSystem::with_parallel_fallback`] or
     /// [`BeasSystem::with_partial_reduction_threshold`] are applied before
     /// construction) into a service.
     pub fn new(system: BeasSystem) -> Self {
@@ -461,8 +460,16 @@ impl QueryService {
     /// run `apply` on the fork, and publish it as the new snapshot.  An
     /// error publishes nothing — concurrent readers keep their pinned
     /// snapshots either way and in-flight queries are never disturbed.
+    ///
+    /// A batch that panics (say, in a caller's `delete_rows` predicate)
+    /// poisons the writer mutex, but the mutex guards no data and the
+    /// failed fork was never published, so later writers take it anyway.
     fn maintain<T>(&self, apply: impl FnOnce(&mut BeasSystem) -> Result<T>) -> Result<T> {
-        let _writer = self.shared.writer.lock().expect("writer lock");
+        let _writer = self
+            .shared
+            .writer
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let current = Arc::clone(&self.shared.snapshot.read().expect("snapshot lock"));
         let mut fork = current.fork();
         let out = apply(&mut fork)?;
@@ -917,6 +924,40 @@ mod tests {
             .is_err());
         assert_eq!(service.generation(), generation, "no snapshot published");
         assert_eq!(service.metrics().maintenance_batches, 0);
+    }
+
+    #[test]
+    fn a_panicking_write_batch_does_not_block_later_writes() {
+        let service = service();
+        let generation = service.generation();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            service.delete_rows("call", |_| panic!("predicate fails"))
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(service.generation(), generation, "no snapshot published");
+        assert_eq!(service.metrics().maintenance_batches, 0);
+        service
+            .insert_rows(
+                "call",
+                vec![vec![
+                    Value::str("p1"),
+                    Value::str("r777"),
+                    Value::str("2016-07-04"),
+                    Value::str("north"),
+                    Value::Int(1),
+                ]],
+            )
+            .expect("the writer lock survives the panicked batch");
+        let session = service.session(ResourceQuota::unlimited());
+        let out = session
+            .execute("select distinct region from call where pnum = 'p1' and date = '2016-07-04'")
+            .unwrap();
+        assert_eq!(out.generation, service.generation());
+        assert!(out
+            .answer
+            .unwrap()
+            .rows
+            .contains(&vec![Value::str("north")]));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Explain-analyze walkthrough: the Fig. 3-style per-operator cost
-//! breakdown for one *covered* TLC query (bounded fetch pipeline vs the
-//! baseline operator tree) and one *uncovered* query (conventional on both
-//! sides), plus the per-submission admission trace a service session
+//! breakdown for one *covered* TLC query (bounded fetch pipeline vs each
+//! baseline profile's operator tree) and one *uncovered* query
+//! (conventional on both sides), plus the per-submission admission trace a service session
 //! records — trace id, plan-cache outcome, deduced bound vs budget, quota
 //! spend and per-stage spans.
 //!
@@ -25,7 +25,7 @@ fn main() -> Result<()> {
     println!("{}", system.explain_analyze(&covered)?);
 
     // An uncovered aggregate: no constraint covers a full-table group-by,
-    // so both sides run the conventional operator tree.
+    // so BEAS and the baselines all run conventional operator trees.
     let uncovered = "SELECT call.region, COUNT(*) AS n FROM call \
          WHERE call.duration > 10 \
          GROUP BY call.region ORDER BY call.region";

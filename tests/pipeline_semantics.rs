@@ -199,7 +199,7 @@ proptest! {
             let bound = engine.bind(&db, &sql).unwrap();
             let plan = engine.plan(&db, &bound).unwrap();
             let reference = batch_execute(&plan, &db).unwrap();
-            let result = engine.run_bound(&db, &bound).unwrap();
+            let result = engine.run_bound(&db, &bound, None).unwrap();
             prop_assert!(
                 result.rows == reference,
                 "pipelined != batch for {sql} under {profile:?}"

@@ -52,7 +52,7 @@ fn observe(system: &BeasSystem) -> Vec<String> {
     // mid-plan).
     let tracker = ResourceQuota::unlimited().with_max_tuples(2).tracker();
     let tripped = system
-        .execute_sql_with_quota(&covered, Some(&tracker))
+        .execute_prepared(&system.prepare(&covered).unwrap(), Some(&tracker))
         .expect_err("2 tuples cannot cover the bounded plan");
     out.push(format!(
         "quota: kind={} msg={tripped} used={}",

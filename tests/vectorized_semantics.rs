@@ -149,10 +149,12 @@ fn run(db: &Database, sql: &str, exec: ExecProfile, workers: usize, max_tuples: 
     let tracker = ResourceQuota::unlimited()
         .with_max_tuples(max_tuples)
         .tracker();
-    let result = Engine::default()
+    let engine = Engine::default()
         .with_parallelism(config(workers))
-        .with_exec_profile(exec)
-        .run_with_quota(db, sql, Some(&tracker));
+        .with_exec_profile(exec);
+    let result = engine
+        .bind(db, sql)
+        .and_then(|bound| engine.run_bound(db, &bound, Some(&tracker)));
     Run {
         result,
         tuples_used: tracker.tuples_used(),
@@ -164,7 +166,7 @@ fn run(db: &Database, sql: &str, exec: ExecProfile, workers: usize, max_tuples: 
 /// the two paths agree on the error kind and on never exceeding the budget
 /// by more than one scheduling quantum, but the exact trip morsel may
 /// differ on the parallel path (cooperative cancellation — the same
-/// contract `execute_with_quota` documents for parallel vs serial).
+/// contract the engine executor documents for parallel vs serial).
 fn assert_bit_exact(
     sql: &str,
     exec: ExecProfile,
